@@ -28,13 +28,12 @@ need lives here, re-exported from the subsystems that implement it:
   path, or list every discoverable spec with its metadata.
 * :func:`query` — filtered rows out of the run lake
   (:mod:`repro.lake`): cycle-breakdown metric columns across
-  apps/backends/consistency models/presets, stale-salt rows excluded
+  apps/consistency models/presets, stale-salt rows excluded
   unless asked for; zero re-simulation.
 
 Import from ``repro.api`` rather than the implementing modules:
 the facade is the surface the project promises to keep stable across
-internal refactors (the wrapper it replaced,
-``repro.core.experiments.run_experiment``, is deprecated).
+internal refactors.
 
 >>> from repro import api
 >>> pair = api.run_raw("gauss", overrides={"app": {"n": 64}})
@@ -111,7 +110,6 @@ def specs(kind: Optional[str] = None) -> List[Any]:
 
 def query(
     app: Optional[str] = None,
-    backend: Optional[str] = None,
     consistency: Optional[str] = None,
     preset: Optional[str] = None,
     salt: Optional[str] = None,
@@ -121,8 +119,8 @@ def query(
 ) -> List[Dict[str, Any]]:
     """Filtered run rows from the lake (see ``repro query``).
 
-    Each row carries the provenance columns (exp_id, backend,
-    consistency, preset, procs, salt, fresh) plus the requested metric
+    Each row carries the provenance columns (exp_id, consistency,
+    preset, procs, salt, fresh) plus the requested metric
     columns (default ``mp_total, sm_total, sm_over_mp``). Stale-salt
     rows — detected at query time with the same
     :func:`repro.runner.cache.record_is_fresh` decision ``repro cache
@@ -134,7 +132,6 @@ def query(
 
     filters = QueryFilters(
         app=app,
-        backend=backend,
         consistency=consistency,
         preset=preset,
         salt=salt,
@@ -160,24 +157,15 @@ def sweep(
     return run_sweep(spec, axes=axes, **kwargs)
 
 
-def bench(
-    quick: bool = False,
-    apps: bool = True,
-    backend: str = "batched",
-    **kwargs: Any,
-) -> Dict[str, Any]:
+def bench(quick: bool = False, apps: bool = True, **kwargs: Any) -> Dict[str, Any]:
     """Run the benchmark suite; returns the JSON-ready document.
 
-    ``backend`` selects the execution backend for the end-to-end app
-    rows (``"batched"`` or ``"reference"``); remaining keyword
-    arguments pass through to
+    Remaining keyword arguments pass through to
     :func:`repro.runner.bench.run_benchmarks` (``log``, ...).
     """
     from repro.runner import bench as bench_impl
 
-    return bench_impl.run_benchmarks(
-        quick=quick, apps=apps, backend=backend, **kwargs
-    )
+    return bench_impl.run_benchmarks(quick=quick, apps=apps, **kwargs)
 
 
 def serve(

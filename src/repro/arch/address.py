@@ -54,7 +54,7 @@ def block_run(start: int, length: int, block_bytes: int) -> range:
     """The addresses of :func:`block_span` as a C-level ``range``.
 
     Same aligned addresses in the same order; the ``range`` form gives
-    the batched backend O(1) length and allocation-free iteration when
+    the batched contexts O(1) length and allocation-free iteration when
     probing a whole run of blocks at once.
     """
     if length <= 0:

@@ -72,7 +72,7 @@ class Cache:
         # Bumped on every content mutation (insert/set_state/invalidate/
         # flush). A probe verdict computed at version V stays valid while
         # the version still reads V: hits never mutate content, so the
-        # batched backend memoizes all-hit verdicts against this stamp.
+        # batched contexts memoize all-hit verdicts against this stamp.
         self.version = 0
 
     def _set_index(self, block_addr: int) -> int:
@@ -158,7 +158,7 @@ class Cache:
 
         Returns the per-block states only if *every* block is resident;
         a single absent block returns None immediately. No hit/miss
-        counters are touched — the batched backend probes first and, on
+        counters are touched — the batched contexts probe first and, on
         an all-hit run, commits ``hits += len(run)`` in one bump (the
         exact count the scalar :meth:`lookup` loop would have produced).
         """

@@ -65,7 +65,7 @@ class Tlb:
     def run_resident(self, addrs) -> bool:
         """Vectorized probe: True if every addr's page is resident.
 
-        Counter-neutral: the batched backend probes a whole run first
+        Counter-neutral: the batched contexts probe a whole run first
         and, when everything hits, commits ``hits += len(run)`` in one
         bump — the exact count the scalar :meth:`access` loop would
         have produced. Any miss returns False with nothing installed.

@@ -198,16 +198,10 @@ def _litmus_program(ctx, test: LitmusTest, regions: Dict[str, object],
             raise TypeError(f"unknown litmus op {op!r}")
 
 
-def _run_once(
-    test: LitmusTest,
-    seed: int,
-    backend: str = "batched",
-    consistency: str = "sc",
-) -> Outcome:
+def _run_once(test: LitmusTest, seed: int, consistency: str = "sc") -> Outcome:
     machine = SmMachine(
         MachineParams.paper(num_processors=test.nprocs),
         seed=1994 + seed,
-        backend=backend,
         consistency=consistency,
     )
     regions = {}
@@ -238,7 +232,6 @@ def run_litmus(
     test: LitmusTest,
     seeds: Sequence[int] = DEFAULT_SEEDS,
     check_invariants: bool = True,
-    backend: str = "batched",
     consistency: str = "sc",
     observe_budget: int = OBSERVE_SEED_BUDGET,
 ) -> Counter:
@@ -251,9 +244,7 @@ def run_litmus(
     permitted, the relaxed outcome must be observed — the seed pool is
     extended deterministically up to ``observe_budget`` total runs, and
     never seeing it raises too (a model that cannot exhibit its own
-    relaxations is mislabeled or broken). ``backend`` selects the
-    execution backend — the differential suite runs the shapes under
-    both to show the verdicts hold identically.
+    relaxations is mislabeled or broken).
     """
     if consistency not in MEMORY_MODELS:
         raise ValueError(
@@ -275,13 +266,9 @@ def run_litmus(
         nonlocal relaxed_seen
         if check_invariants and not check.active().enabled:
             with check.checking():
-                outcome = _run_once(
-                    test, seed, backend=backend, consistency=consistency
-                )
+                outcome = _run_once(test, seed, consistency=consistency)
         else:
-            outcome = _run_once(
-                test, seed, backend=backend, consistency=consistency
-            )
+            outcome = _run_once(test, seed, consistency=consistency)
         if test.forbidden(outcome):
             if not permitted:
                 raise CheckError(
@@ -318,15 +305,12 @@ def run_litmus(
 def run_suite(
     tests: Sequence[LitmusTest] = None,
     seeds: Sequence[int] = DEFAULT_SEEDS,
-    backend: str = "batched",
     consistency: str = "sc",
 ) -> Dict[str, Counter]:
     """Run every shape under one model; returns ``{name: histogram}``."""
     results = {}
     for test in LITMUS_TESTS if tests is None else tests:
-        results[test.name] = run_litmus(
-            test, seeds=seeds, backend=backend, consistency=consistency
-        )
+        results[test.name] = run_litmus(test, seeds=seeds, consistency=consistency)
     return results
 
 
@@ -334,7 +318,6 @@ def run_matrix(
     tests: Sequence[LitmusTest] = None,
     models: Sequence[str] = MEMORY_MODELS,
     seeds: Sequence[int] = DEFAULT_SEEDS,
-    backend: str = "batched",
     observe_budget: int = OBSERVE_SEED_BUDGET,
 ) -> List[Dict[str, Any]]:
     """The full model × shape verdict matrix, one record per cell.
@@ -352,7 +335,6 @@ def run_matrix(
             observed = run_litmus(
                 test,
                 seeds=seeds,
-                backend=backend,
                 consistency=model,
                 observe_budget=observe_budget,
             )

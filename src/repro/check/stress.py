@@ -115,7 +115,6 @@ def run_sm_stress(
     seed: int = 0,
     nprocs: int = 4,
     checker: Optional[check.Checker] = None,
-    backend: str = "batched",
     consistency: str = "sc",
 ) -> Dict[str, int]:
     """Random load/store/lock stress on the SM machine under the checker.
@@ -132,20 +131,15 @@ def run_sm_stress(
     schedule = _sm_schedule(ops, seed, nprocs)
     if checker is None and not check.active().enabled:
         with check.checking() as checker:
-            return _run_sm_stress(
-                schedule, seed, nprocs, checker, backend, consistency
-            )
+            return _run_sm_stress(schedule, seed, nprocs, checker, consistency)
     active = checker if checker is not None else check.active()
-    return _run_sm_stress(schedule, seed, nprocs, active, backend, consistency)
+    return _run_sm_stress(schedule, seed, nprocs, active, consistency)
 
 
-def _run_sm_stress(
-    schedule, seed, nprocs, checker, backend="batched", consistency="sc"
-) -> Dict[str, int]:
+def _run_sm_stress(schedule, seed, nprocs, checker, consistency="sc") -> Dict[str, int]:
     machine = SmMachine(
         MachineParams.paper(num_processors=nprocs),
         seed=2718 + seed,
-        backend=backend,
         consistency=consistency,
     )
     region = machine.space.alloc_shared(
@@ -261,7 +255,6 @@ def run_mp_stress(
     seed: int = 0,
     nprocs: int = 4,
     checker: Optional[check.Checker] = None,
-    backend: str = "batched",
 ) -> Dict[str, int]:
     """Random sequenced-message stress on the MP machine under the checker.
 
@@ -276,19 +269,13 @@ def run_mp_stress(
             expected[dest] += 1
     if checker is None and not check.active().enabled:
         with check.checking(check.Checker(strict_quiescence=True)) as checker:
-            return _run_mp_stress(schedule, expected, seed, nprocs, checker, backend)
+            return _run_mp_stress(schedule, expected, seed, nprocs, checker)
     active = checker if checker is not None else check.active()
-    return _run_mp_stress(schedule, expected, seed, nprocs, active, backend)
+    return _run_mp_stress(schedule, expected, seed, nprocs, active)
 
 
-def _run_mp_stress(
-    schedule, expected, seed, nprocs, checker, backend="batched"
-) -> Dict[str, int]:
-    machine = MpMachine(
-        MachineParams.paper(num_processors=nprocs),
-        seed=3141 + seed,
-        backend=backend,
-    )
+def _run_mp_stress(schedule, expected, seed, nprocs, checker) -> Dict[str, int]:
+    machine = MpMachine(MachineParams.paper(num_processors=nprocs), seed=3141 + seed)
     result = machine.run(_mp_stress_program, schedule, expected)
     delivered = sum(result.outputs)
     sent = sum(len(s) for s in schedule)

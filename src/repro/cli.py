@@ -29,17 +29,16 @@ Commands:
   execution, ASCII curve plots, crossover detection, and the spec's
   machine-checked shape assertions;
 * ``python -m repro sweep --glob "specs/sweeps/em3d-*.yaml"`` — batch
-  run every matching YAML sweep spec (``repro.specs``): sweep names
-  resolve YAML-first (the spec search path), deprecated Python
-  registrations second;
+  run every matching YAML sweep spec (``repro.specs``); sweep names
+  resolve through the spec search path;
 * ``python -m repro cache ls`` / ``python -m repro cache clear`` —
   inspect (per-record byte sizes, totals, salt freshness) or drop the
   on-disk result cache;
 * ``python -m repro lake ingest`` / ``python -m repro lake stats`` —
   backfill the append-only sqlite run lake from the warm cache (also
   fed opt-in by ``run/sweep --lake``), or print its row counts;
-* ``python -m repro query [--app --backend --consistency --preset
-  --salt --all-salts --metrics --pivot --json --csv]`` — answer
+* ``python -m repro query [--app --consistency --preset --salt
+  --all-salts --metrics --pivot --json --csv]`` — answer
   cross-preset/cross-version cycle-breakdown questions purely from
   lake rows, zero re-simulation; stale-salt rows are hidden unless
   ``--all-salts`` names them explicitly;
@@ -162,13 +161,12 @@ def cmd_run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    # --backend/--consistency/--preset flow through the standard
-    # override channel, so cached records stay keyed (and honest) per
-    # backend, memory model, and machine table.
+    # --consistency/--preset flow through the standard override channel,
+    # so cached records stay keyed (and honest) per memory model and
+    # machine table.
     common = {
         key: value
         for key, value in (
-            ("backend", args.backend),
             ("consistency", getattr(args, "consistency", None)),
             ("preset", getattr(args, "preset", None)),
         )
@@ -432,9 +430,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     from repro.runner import bench
 
     print("running kernel benchmarks...", file=sys.stderr, flush=True)
-    document = bench.run_benchmarks(
-        quick=args.quick, apps=not args.no_apps, backend=args.backend
-    )
+    document = bench.run_benchmarks(quick=args.quick, apps=not args.no_apps)
     rate = document["kernel"]["events_per_sec"]
     print(f"kernel aggregate: {rate} events/sec")
 
@@ -589,7 +585,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     if do_matrix:
         seeds = tuple(range(args.seed, args.seed + args.litmus_seeds))
         try:
-            rows = run_matrix(seeds=seeds, backend=args.backend)
+            rows = run_matrix(seeds=seeds)
         except CheckError as exc:
             print(f"  [FAIL] litmus matrix: {exc}")
             failures += 1
@@ -605,20 +601,14 @@ def cmd_check(args: argparse.Namespace) -> int:
                     f"  [PASS] {row['model']:<4} {row['test']:<{width}} "
                     f"{row['expected']:<10} {row['runs']:>3} runs, {seen}"
                 )
-            print(
-                f"  litmus matrix: {len(rows)} cells "
-                f"({args.backend} backend), every verdict held"
-            )
+            print(f"  litmus matrix: {len(rows)} cells, every verdict held")
 
     if do_litmus:
         seeds = tuple(range(args.seed, args.seed + args.litmus_seeds))
         for test in LITMUS_TESTS:
             try:
                 observed = run_suite(
-                    [test],
-                    seeds=seeds,
-                    backend=args.backend,
-                    consistency=consistency,
+                    [test], seeds=seeds, consistency=consistency
                 )[test.name]
             except CheckError as exc:
                 print(f"  [FAIL] litmus {test.name}: {exc}")
@@ -641,7 +631,6 @@ def cmd_check(args: argparse.Namespace) -> int:
                 ops=ops,
                 seed=args.seed,
                 nprocs=args.nprocs,
-                backend=args.backend,
                 consistency=consistency,
             )
         except CheckError as exc:
@@ -656,10 +645,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             )
         try:
             report = run_mp_stress(
-                ops=max(1, ops // 2),
-                seed=args.seed,
-                nprocs=args.nprocs,
-                backend=args.backend,
+                ops=max(1, ops // 2), seed=args.seed, nprocs=args.nprocs
             )
         except CheckError as exc:
             print(f"  [FAIL] mp stress: {exc}")
@@ -708,16 +694,20 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 
 def cmd_lake(args: argparse.Namespace) -> int:
-    from repro.lake import RunLake, default_lake_path
+    from repro.lake import LakeSchemaError, RunLake, default_lake_path
 
     if args.lake_command == "ingest":
         cache = ResultCache()
-        with RunLake(args.lake_path) as lake:
-            added, seen = lake.ingest_cache(cache)
-            print(
-                f"lake {lake.path}: ingested {added} new of {seen} cached "
-                f"record(s) from {cache.directory}"
-            )
+        try:
+            with RunLake(args.lake_path) as lake:
+                added, seen = lake.ingest_cache(cache)
+        except LakeSchemaError as exc:
+            print(f"repro lake: error: {exc}", file=sys.stderr)
+            return 1
+        print(
+            f"lake {lake.path}: ingested {added} new of {seen} cached "
+            f"record(s) from {cache.directory}"
+        )
         return 0
     if args.lake_command == "stats":
         path = Path(args.lake_path) if args.lake_path else default_lake_path()
@@ -728,8 +718,12 @@ def cmd_lake(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 1
-        with RunLake(path) as lake:
-            stats = lake.stats()
+        try:
+            with RunLake(path) as lake:
+                stats = lake.stats()
+        except LakeSchemaError as exc:
+            print(f"repro lake: error: {exc}", file=sys.stderr)
+            return 1
         if args.json:
             return _emit_text(
                 args.json, json.dumps(stats, indent=1, sort_keys=True),
@@ -758,6 +752,7 @@ def _emit_text(path: str, text: str, prog: str, label: str) -> int:
 
 def cmd_query(args: argparse.Namespace) -> int:
     from repro.lake import (
+        LakeSchemaError,
         QueryFilters,
         RunLake,
         default_lake_path,
@@ -793,7 +788,6 @@ def cmd_query(args: argparse.Namespace) -> int:
     )
     filters = QueryFilters(
         app=args.app,
-        backend=args.backend,
         consistency=args.consistency,
         preset=args.preset,
         salt=args.salt,
@@ -805,6 +799,9 @@ def cmd_query(args: argparse.Namespace) -> int:
             rows = query_runs(lake, filters)
         if args.pivot:
             rows = pivot(rows, args.pivot, filters.metrics[0])
+    except LakeSchemaError as exc:
+        print(f"repro query: error: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"repro query: error: {exc}", file=sys.stderr)
         return 2
@@ -886,11 +883,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--check", action="store_true",
                             help="simulate with the invariant checker "
                                  "installed (forces --jobs 1, no cache)")
-    run_parser.add_argument("--backend", choices=("batched", "reference"),
-                            default=None,
-                            help="execution backend override for every "
-                                 "requested experiment (default: each "
-                                 "config's own, normally batched)")
     run_parser.add_argument("--consistency", metavar="MODEL", default=None,
                             help="memory-model override for every requested "
                                  "experiment: sc (default, the paper's "
@@ -911,9 +903,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("spec", metavar="SPEC", nargs="?",
                               help="sweep spec: a YAML id (em3d-latency, "
                                    "em3d-cache, gauss-speedup, em3d-modern; "
-                                   "see specs/sweeps/), a YAML file path, or "
-                                   "a name registered in the deprecated "
-                                   "Python registry")
+                                   "see specs/sweeps/) or a YAML file path")
     sweep_parser.add_argument("--glob", metavar="PATTERN",
                               help="run every sweep spec file matching a "
                                    "glob, e.g. --glob "
@@ -944,10 +934,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="smaller iteration counts (CI smoke)")
     bench_parser.add_argument("--no-apps", action="store_true",
                               help="skip the end-to-end app timings")
-    bench_parser.add_argument("--backend", choices=("batched", "reference"),
-                              default="batched",
-                              help="execution backend for the app timings "
-                                   "(default: batched)")
     bench_parser.set_defaults(handler=cmd_bench)
 
     trace_parser = subparsers.add_parser(
@@ -1001,10 +987,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="run the full model x shape litmus "
                                    "verdict matrix (every model, both "
                                    "verdict directions)")
-    check_parser.add_argument("--backend", choices=("batched", "reference"),
-                              default="batched",
-                              help="execution backend for litmus/stress "
-                                   "machines (default: batched)")
     check_parser.set_defaults(handler=cmd_check)
 
     cache_parser = subparsers.add_parser(
@@ -1027,7 +1009,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     query_parser = subparsers.add_parser(
         "query",
-        help="query the run lake: filter runs by app/backend/consistency/"
+        help="query the run lake: filter runs by app/consistency/"
              "preset/salt, project cycle-breakdown metric columns, pivot "
              "for cross-preset or cross-version comparison — zero "
              "re-simulation ('-' as a --json/--csv path prints to stdout)",
@@ -1035,8 +1017,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query_parser.add_argument("--app", metavar="ID", default=None,
                               help="filter to one experiment id (see `list`)")
-    query_parser.add_argument("--backend", choices=("batched", "reference"),
-                              default=None, help="filter by execution backend")
     query_parser.add_argument("--consistency", metavar="MODEL", default=None,
                               help="filter by memory model: sc, tso, or pc")
     query_parser.add_argument("--preset", metavar="TABLE", default=None,
@@ -1058,7 +1038,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "sm_data_access, ...)")
     query_parser.add_argument("--pivot", metavar="COLUMN", default=None,
                               help="spread the first metric across one "
-                                   "column's values (preset, salt, backend, "
+                                   "column's values (preset, salt, "
                                    "consistency, procs), one row per app")
     query_parser.set_defaults(handler=cmd_query)
 

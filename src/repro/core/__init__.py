@@ -11,8 +11,8 @@ and per-processor event counts — into a reusable harness:
 * :mod:`repro.core.tables` — paper-style rendering.
 
 Execution (parallel workers, the on-disk result cache, serializable
-run records) lives in :mod:`repro.runner`; :func:`run_experiment`
-remains here as the in-process compatibility entry point.
+run records) lives in :mod:`repro.runner`; :mod:`repro.api` is the
+stable programmatic surface.
 """
 
 from repro.core.breakdown import MpBreakdown, MpCounts, SmBreakdown, SmCounts
@@ -20,7 +20,6 @@ from repro.core.experiments import (
     EXPERIMENTS,
     ExperimentSpec,
     get_experiment,
-    run_experiment,
 )
 from repro.core.study import PairResult
 
@@ -33,5 +32,4 @@ __all__ = [
     "SmBreakdown",
     "SmCounts",
     "get_experiment",
-    "run_experiment",
 ]

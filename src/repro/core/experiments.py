@@ -9,10 +9,8 @@ execute them in worker processes, sweep them with overrides, and cache
 their results content-addressed on disk.
 
 The stable programmatic surface is :mod:`repro.api`
-(``run_raw``/``record_for``/``execute``/``sweep``);
-:func:`run_experiment` remains one release as a deprecated wrapper
-over ``run_raw``. ``python -m repro run`` goes through the full
-harness.
+(``run_raw``/``record_for``/``execute``/``sweep``).
+``python -m repro run`` goes through the full harness.
 
 Scale: the paper's runs are hundreds of millions to billions of target
 cycles on 32 processors; a pure-Python event simulation reproduces
@@ -24,7 +22,6 @@ scaled with the working sets so that capacity effects (EM3D Tables
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Tuple
 
@@ -81,45 +78,6 @@ def get_experiment(exp_id: str) -> ExperimentSpec:
         raise KeyError(
             f"unknown experiment {exp_id!r}; known: {sorted(EXPERIMENTS)}"
         ) from None
-
-
-def run_experiment(exp_id: str, overrides: Dict[str, Any] = None) -> Any:
-    """Deprecated: use :func:`repro.api.run_raw`.
-
-    Thin compatibility wrapper kept one release for old scripts;
-    :mod:`repro.api` is the stable surface
-    (``run_raw("gauss", overrides={"app": {"n": 64}})`` is the direct
-    equivalent).
-    """
-    from repro.runner.api import run_raw
-
-    warnings.warn(
-        "repro.core.experiments.run_experiment() is deprecated; use "
-        "repro.api.run_raw() (same semantics) or repro.api.record_for() "
-        "for cached, serializable records",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return run_raw(exp_id, overrides)
-
-
-def clear_cache() -> None:
-    """Deprecated: use :func:`repro.runner.api.clear_memory_cache`.
-
-    The in-process memo moved into the runner harness; the persistent
-    result store is :class:`repro.runner.cache.ResultCache`
-    (``python -m repro cache {ls,clear}``).
-    """
-    from repro.runner.api import clear_memory_cache
-
-    warnings.warn(
-        "repro.core.experiments.clear_cache() is deprecated; use "
-        "repro.runner.api.clear_memory_cache() (in-process memo) or "
-        "repro.runner.cache.ResultCache.clear() (on-disk records)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    clear_memory_cache()
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +178,8 @@ VALIDATION_CONFIG = ExperimentConfig(exp_id="validation", procs=2, seed=_SEED)
 
 def run_mse_pair(config: ExperimentConfig) -> PairResult:
     params = config.machine_params()
-    mp_result, _x = run_mse_mp(MpMachine(params, seed=config.seed, backend=config.backend), config.app)
-    sm_result, _x2 = run_mse_sm(SmMachine(params, seed=config.seed, backend=config.backend, consistency=config.consistency), config.app)
+    mp_result, _x = run_mse_mp(MpMachine(params, seed=config.seed), config.app)
+    sm_result, _x2 = run_mse_sm(SmMachine(params, seed=config.seed, consistency=config.consistency), config.app)
     return PairResult(
         name="MSE", mp_result=mp_result, sm_result=sm_result,
         phases=["init", "main"],
@@ -230,8 +188,8 @@ def run_mse_pair(config: ExperimentConfig) -> PairResult:
 
 def run_gauss_pair(config: ExperimentConfig) -> PairResult:
     params = config.machine_params()
-    mp_result, _x = run_gauss_mp(MpMachine(params, seed=config.seed, backend=config.backend), config.app)
-    sm_result, _x2 = run_gauss_sm(SmMachine(params, seed=config.seed, backend=config.backend, consistency=config.consistency), config.app)
+    mp_result, _x = run_gauss_mp(MpMachine(params, seed=config.seed), config.app)
+    sm_result, _x2 = run_gauss_sm(SmMachine(params, seed=config.seed, consistency=config.consistency), config.app)
     extra = {"directory_queue_delay": sm_result.machine.directory_contention()}
     return PairResult(
         name="Gauss", mp_result=mp_result, sm_result=sm_result,
@@ -245,7 +203,7 @@ def run_gauss_collectives(config: ExperimentConfig) -> Dict[str, float]:
     for strategy in config.opt("strategies", ("flat", "binary", "lopsided")):
         machine = MpMachine(
             config.machine_params(),
-            seed=config.seed, backend=config.backend,
+            seed=config.seed,
             collective_strategy=strategy,
         )
         result, _x = run_gauss_mp(machine, config.app)
@@ -266,7 +224,7 @@ def run_gauss_contention(config: ExperimentConfig) -> Dict[int, Dict[str, float]
     results: Dict[int, Dict[str, float]] = {}
     for nprocs in config.opt("proc_counts", (4, 8, 16)):
         machine = SmMachine(
-            config.machine_params(procs=nprocs), seed=config.seed, backend=config.backend, consistency=config.consistency
+            config.machine_params(procs=nprocs), seed=config.seed, consistency=config.consistency
         )
         run, _x = run_gauss_sm(machine, config.app)
         board = run.board
@@ -285,10 +243,10 @@ def run_em3d_pair(config: ExperimentConfig) -> PairResult:
     params = config.machine_params()
     policy = HomePolicy(config.opt("policy", HomePolicy.ROUND_ROBIN.value))
     mp_result, _e, _h = run_em3d_mp(
-        MpMachine(params, seed=config.seed, backend=config.backend), config.app
+        MpMachine(params, seed=config.seed), config.app
     )
     sm_result, _e2, _h2 = run_em3d_sm(
-        SmMachine(params, seed=config.seed, backend=config.backend, consistency=config.consistency, allocation_policy=policy), config.app
+        SmMachine(params, seed=config.seed, consistency=config.consistency, allocation_policy=policy), config.app
     )
     return PairResult(
         name="EM3D", mp_result=mp_result, sm_result=sm_result,
@@ -305,11 +263,11 @@ def run_em3d_protocols(config: ExperimentConfig) -> Dict[str, Any]:
     """
     params = config.machine_params()
     mp_result, _e, _h = run_em3d_mp(
-        MpMachine(params, seed=config.seed, backend=config.backend), config.app
+        MpMachine(params, seed=config.seed), config.app
     )
     results: Dict[str, Any] = {"mp": mp_result}
     for variant in config.opt("variants", ("base", "flush", "update")):
-        machine = SmMachine(params, seed=config.seed, backend=config.backend, consistency=config.consistency)
+        machine = SmMachine(params, seed=config.seed, consistency=config.consistency)
         sm_result, _e2, _h2 = run_em3d_sm(machine, config.app, variant=variant)
         results[variant] = sm_result
     return results
@@ -319,10 +277,10 @@ def run_lcp_pair(config: ExperimentConfig) -> PairResult:
     asynchronous = bool(config.opt("asynchronous", False))
     params = config.machine_params()
     mp_result, _z, mp_steps = run_lcp_mp(
-        MpMachine(params, seed=config.seed, backend=config.backend), config.app, asynchronous=asynchronous
+        MpMachine(params, seed=config.seed), config.app, asynchronous=asynchronous
     )
     sm_result, _z2, sm_steps = run_lcp_sm(
-        SmMachine(params, seed=config.seed, backend=config.backend, consistency=config.consistency), config.app, asynchronous=asynchronous
+        SmMachine(params, seed=config.seed, consistency=config.consistency), config.app, asynchronous=asynchronous
     )
     return PairResult(
         name="ALCP" if asynchronous else "LCP",
@@ -345,7 +303,7 @@ def run_validation_micro(config: ExperimentConfig) -> Dict[str, Dict[str, float]
     params = config.machine_params()
 
     # Message-passing: one-way active-message latency.
-    mp_machine = MpMachine(params, seed=config.seed, backend=config.backend)
+    mp_machine = MpMachine(params, seed=config.seed)
     times = {}
 
     def on_ping(ctx, packet):
@@ -376,7 +334,7 @@ def run_validation_micro(config: ExperimentConfig) -> Dict[str, Dict[str, float]
     }
 
     # Barrier release latency.
-    bar_machine = MpMachine(params, seed=config.seed, backend=config.backend)
+    bar_machine = MpMachine(params, seed=config.seed)
     release = {}
 
     def barrier_program(ctx):
@@ -391,7 +349,7 @@ def run_validation_micro(config: ExperimentConfig) -> Dict[str, Dict[str, float]
     }
 
     # Shared memory: remote miss to idle data (the paper's ~250 cycles).
-    sm_machine = SmMachine(params, seed=config.seed, backend=config.backend, consistency=config.consistency)
+    sm_machine = SmMachine(params, seed=config.seed, consistency=config.consistency)
     miss = {}
 
     def sm_program(ctx):

@@ -5,7 +5,7 @@ Every :class:`~repro.runner.record.RunRecord` and
 ``repro run/sweep --lake``, or backfilled from a warm result cache
 with ``repro lake ingest``. Rows are keyed by the content-addressed
 cache key (re-ingest adds zero rows) and carry full
-salt/backend/consistency/preset provenance, so ``repro query`` can
+salt/consistency/preset provenance, so ``repro query`` can
 compare cycle breakdowns across presets and code versions without
 ever re-simulating — and without ever silently mixing stale-salt
 rows into a fresh comparison.
@@ -29,6 +29,7 @@ from repro.lake.store import (
     DEFAULT_LAKE_NAME,
     ENV_LAKE_PATH,
     LAKE_SCHEMA,
+    LakeSchemaError,
     RunLake,
     default_lake_path,
     infer_preset,
@@ -41,6 +42,7 @@ __all__ = [
     "DEFAULT_METRICS",
     "ENV_LAKE_PATH",
     "LAKE_SCHEMA",
+    "LakeSchemaError",
     "PIVOT_COLUMNS",
     "RUN_COLUMNS",
     "QueryFilters",

@@ -1,7 +1,7 @@
 """Queries over the run lake (``repro query`` / ``api.query()``).
 
 A query is: equality filters over the provenance columns
-(app/backend/consistency/preset/salt), a metric column list, and the
+(app/consistency/preset/salt), a metric column list, and the
 freshness rule — stale-salt rows are **excluded by default** (the
 shared :func:`repro.runner.cache.record_is_fresh` decision, recomputed
 at query time) and only appear under ``all_salts=True``, tagged with
@@ -25,7 +25,6 @@ from repro.lake.store import RunLake
 #: Provenance columns shown before the metric columns.
 RUN_COLUMNS = (
     "exp_id",
-    "backend",
     "consistency",
     "preset",
     "procs",
@@ -37,7 +36,7 @@ RUN_COLUMNS = (
 DEFAULT_METRICS = ("mp_total", "sm_total", "sm_over_mp")
 
 #: Columns a pivot may spread a metric across.
-PIVOT_COLUMNS = ("backend", "consistency", "preset", "salt", "procs", "exp_id")
+PIVOT_COLUMNS = ("consistency", "preset", "salt", "procs", "exp_id")
 
 
 @dataclass(frozen=True)
@@ -45,7 +44,6 @@ class QueryFilters:
     """Equality filters for one lake query (None = no constraint)."""
 
     app: Optional[str] = None  # exp_id
-    backend: Optional[str] = None
     consistency: Optional[str] = None
     preset: Optional[str] = None
     salt: Optional[str] = None
@@ -126,7 +124,6 @@ def _where_clause(filters: QueryFilters) -> Tuple[str, List[Any]]:
     params: List[Any] = []
     for column, value in (
         ("exp_id", filters.app),
-        ("backend", filters.backend),
         ("consistency", filters.consistency),
         ("preset", filters.preset),
         ("salt", filters.salt),

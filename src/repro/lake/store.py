@@ -3,8 +3,8 @@
 The result cache answers "have I run this exact config under the
 current code salt?"; the lake answers the *longitudinal* questions the
 paper's tables invite — how a cycle breakdown or an MP/SM ratio moved
-across code versions, backends, consistency models, and machine
-presets. It is stdlib :mod:`sqlite3` (zero new deps), append-only
+across code versions, consistency models, and machine presets. It is
+stdlib :mod:`sqlite3` (zero new deps), append-only
 (``INSERT OR IGNORE`` keyed on the content-addressed ``cache_key``, so
 re-ingesting is idempotent), and salt-aware: every row stores its full
 canonical config, and freshness is recomputed at query time through
@@ -12,10 +12,11 @@ canonical config, and freshness is recomputed at query time through
 ``repro cache ls`` renders — so stale rows are distinguishable, never
 silently mixed into a comparison.
 
-Layout (schema v1):
+Layout (schema v2; a lake file of another schema is refused, never
+migrated):
 
 * ``runs`` — one row per RunRecord, keyed by ``cache_key``; carries
-  backend/consistency/preset/procs/salt provenance columns plus the
+  consistency/preset/procs/salt provenance columns plus the
   canonical config and summary JSON.
 * ``metrics`` — the scalar projection of each run: every applicable
   registry metric (:mod:`repro.stats.metrics`) plus the raw per-side
@@ -56,8 +57,8 @@ ENV_LAKE_PATH = "REPRO_LAKE_PATH"
 #: Default lake filename, created next to the result cache.
 DEFAULT_LAKE_NAME = "lake.sqlite"
 
-#: Bump when the lake table layout changes.
-LAKE_SCHEMA = 1
+#: Bump when the lake table layout changes (v2: ``runs.backend`` dropped).
+LAKE_SCHEMA = 2
 
 _DDL = """
 CREATE TABLE IF NOT EXISTS lake_meta (
@@ -67,7 +68,6 @@ CREATE TABLE IF NOT EXISTS lake_meta (
 CREATE TABLE IF NOT EXISTS runs (
     cache_key       TEXT PRIMARY KEY,
     exp_id          TEXT NOT NULL,
-    backend         TEXT NOT NULL,
     consistency     TEXT NOT NULL,
     preset          TEXT NOT NULL,
     procs           INTEGER,
@@ -109,6 +109,10 @@ CREATE TABLE IF NOT EXISTS sweep_points (
     PRIMARY KEY (sweep_key, point_index)
 );
 """
+
+
+class LakeSchemaError(Exception):
+    """A lake file was written under a different :data:`LAKE_SCHEMA`."""
 
 
 def default_lake_path() -> Path:
@@ -207,6 +211,19 @@ class RunLake:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._conn = sqlite3.connect(str(self.path))
         self._conn.row_factory = sqlite3.Row
+        (has_meta,) = self._conn.execute(
+            "SELECT count(*) FROM sqlite_master WHERE name = 'lake_meta'"
+        ).fetchone()
+        found = has_meta and self._conn.execute(
+            "SELECT value FROM lake_meta WHERE key = 'lake_schema'"
+        ).fetchone()
+        if found and found[0] != str(LAKE_SCHEMA):
+            self._conn.close()
+            raise LakeSchemaError(
+                f"{self.path} is a schema-v{found[0]} run lake; this version "
+                f"reads and writes schema v{LAKE_SCHEMA}. Ingest into a fresh "
+                "path (--lake-path or $REPRO_LAKE_PATH) instead"
+            )
         self._conn.executescript(_DDL)
         self._conn.execute(
             "INSERT OR IGNORE INTO lake_meta (key, value) VALUES (?, ?)",
@@ -246,15 +263,14 @@ class RunLake:
         fresh = record_is_fresh(data)
         preset = data.get("preset") or infer_preset(config)
         cursor = self._conn.execute(
-            "INSERT OR IGNORE INTO runs (cache_key, exp_id, backend,"
+            "INSERT OR IGNORE INTO runs (cache_key, exp_id,"
             " consistency, preset, procs, seed, cache_bytes, salt, version,"
             " record_schema, all_ok, elapsed_seconds, ingested_at,"
             " config_json, summary_json)"
-            " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
             (
                 str(data["cache_key"]),
                 str(data["exp_id"]),
-                str(config.get("backend", "")),
                 str(config.get("consistency", "")),
                 str(preset),
                 config.get("procs"),
@@ -401,7 +417,7 @@ class RunLake:
         sql = "SELECT * FROM runs"
         if where:
             sql += f" WHERE {where}"
-        sql += " ORDER BY exp_id, preset, consistency, backend, procs"
+        sql += " ORDER BY exp_id, preset, consistency, procs"
         for raw in self._conn.execute(sql, tuple(params)).fetchall():
             row = dict(raw)
             config = json.loads(row.pop("config_json"))

@@ -205,9 +205,9 @@ class MpContext:
     def run_batch(self, script: BatchScript) -> Generator:
         """Execute a batch script; returns the list of read results.
 
-        On the reference backend this decomposes into the exact scalar
-        ops the program would have made; the batched backend overrides
-        it with a single-step executor that is bit-identical.
+        The reference semantics: decompose into the exact scalar ops
+        the program would have made. The batched context overrides it
+        with a single-step executor that is bit-identical.
         """
         return (yield from run_batch_reference(self, script))
 

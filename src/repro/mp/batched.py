@@ -1,4 +1,4 @@
-"""Batched execution backend for the message-passing context.
+"""Batched execution for the message-passing context.
 
 :class:`BatchedMpContext` mirrors the shared-memory batched context for
 the simpler all-local memory model: an access whose pages are all

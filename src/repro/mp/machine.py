@@ -80,13 +80,7 @@ class MpMachine:
         seed: int = 1994,
         costs: Optional[CostModel] = None,
         collective_strategy: str = "lopsided",
-        backend: str = "batched",
     ) -> None:
-        if backend not in ("reference", "batched"):
-            raise ValueError(
-                f"unknown backend {backend!r}; use 'reference' or 'batched'"
-            )
-        self.backend = backend
         self.params = params or MachineParams.paper()
         self.costs = costs or CostModel()
         self.engine = Engine()
@@ -97,8 +91,7 @@ class MpMachine:
             self.engine, self.nprocs, self.params.common.barrier_latency
         )
         self.nodes = [MpNode(self, pid) for pid in range(self.nprocs)]
-        context_cls = BatchedMpContext if backend == "batched" else MpContext
-        self.contexts = [context_cls(self, pid) for pid in range(self.nprocs)]
+        self.contexts = [BatchedMpContext(self, pid) for pid in range(self.nprocs)]
         for ctx in self.contexts:
             ctx.am = AmLayer(ctx)
             ctx.cmmd = CmmdLib(ctx)

@@ -10,15 +10,9 @@ regressions.
 Two gate metrics: ``kernel.events_per_sec`` — the aggregate over the
 three kernel microbenchmarks — and the per-app ``events_per_sec`` of
 each end-to-end pair, each held to the same regression floor against
-the committed baseline. The app pairs run under a selectable execution
-backend (``"batched"`` by default, ``"reference"`` for the per-event
-scalar semantics); the backend is recorded in the document so baselines
-are only compared like for like. Event counts come from
-``Engine.run()`` return values, so the suite runs unchanged on any
-kernel version (useful for before/after comparisons).
-
-This module is the implementation; import it as ``repro.runner.bench``
-(the old top-level ``repro.bench`` is a deprecated shim).
+the committed baseline. Event counts come from ``Engine.run()`` return
+values, so the suite runs unchanged on any kernel version (useful for
+before/after comparisons).
 """
 
 from __future__ import annotations
@@ -148,16 +142,14 @@ APP_CONFIGS: Dict[str, Dict[str, Any]] = {
 }
 
 
-def _bench_apps(
-    log: Callable[[str], None], backend: str = "batched"
-) -> List[Dict[str, Any]]:
+def _bench_apps(log: Callable[[str], None]) -> List[Dict[str, Any]]:
     """Wall time of small experiment pairs (one full mp+sm simulation each)."""
     from repro.core.experiments import EXPERIMENTS
 
     rows: List[Dict[str, Any]] = []
     for exp_id, overrides in APP_CONFIGS.items():
         spec = EXPERIMENTS[exp_id]
-        config = spec.config.with_overrides({**overrides, "backend": backend})
+        config = spec.config.with_overrides(overrides)
         start = time.perf_counter()
         pair = spec.runner(config)
         seconds = time.perf_counter() - start
@@ -168,14 +160,13 @@ def _bench_apps(
             events += getattr(engine, "events_executed", 0) or 0
         row = {
             "experiment": exp_id,
-            "backend": backend,
             "seconds": round(seconds, 4),
             "events": events,
             "events_per_sec": round(events / seconds) if events and seconds else None,
         }
         rows.append(row)
         log(f"  app {exp_id:<8} {seconds:8.3f}s  {events:>8} events  "
-            f"{events / seconds:>10.0f} ev/s  [{backend}]")
+            f"{events / seconds:>10.0f} ev/s")
     return rows
 
 
@@ -211,14 +202,8 @@ def run_benchmarks(
     quick: bool = False,
     apps: bool = True,
     log: Optional[Callable[[str], None]] = None,
-    backend: str = "batched",
 ) -> Dict[str, Any]:
-    """Run the suite; returns the JSON-ready result document.
-
-    ``backend`` selects the execution backend for the end-to-end app
-    pairs (the kernel microbenchmarks exercise the engine directly and
-    have no backend).
-    """
+    """Run the suite; returns the JSON-ready result document."""
     if log is None:
         def log(message: str) -> None:
             print(message, file=sys.stderr, flush=True)
@@ -271,7 +256,7 @@ def run_benchmarks(
     log(f"  {'KERNEL':<12} {total_events:>8} events  {total_seconds:6.3f}s  "
         f"{total_events / total_seconds:>10.0f} ev/s")
     if apps:
-        document["apps"] = _bench_apps(log, backend=backend)
+        document["apps"] = _bench_apps(log)
     return document
 
 
@@ -286,9 +271,7 @@ def compare(
     Returns ``(ok, message)``. ``ok`` is False when the aggregate kernel
     events/sec — or any per-app events/sec present in both documents —
     fell below the floor times the baseline's. ``app_threshold``
-    defaults to ``threshold``. App rows are only compared when both
-    sides ran the same backend (a reference-backend run gated against a
-    batched baseline would measure the backends, not a regression).
+    defaults to ``threshold``.
     """
     if app_threshold is None:
         app_threshold = threshold
@@ -316,12 +299,6 @@ def compare(
         base = baseline_apps.get(row["experiment"])
         rate = row.get("events_per_sec")
         if base is None or not rate:
-            continue
-        if row.get("backend", "batched") != base.get("backend", "batched"):
-            lines.append(
-                f"app {row['experiment']}: backend differs from baseline "
-                f"({row.get('backend')} vs {base.get('backend')}); skipping"
-            )
             continue
         ratio = rate / base["events_per_sec"]
         ok &= ratio >= app_threshold

@@ -41,8 +41,7 @@ from repro.runner.config import ExperimentConfig
 from repro.runner.record import RECORD_SCHEMA, RunRecord
 
 #: Bump manually when simulator semantics change (cycle counts move).
-CODE_SALT = "repro-runner-v4"  # v4: consistency joined the key; machine
-# params grew the two-level-topology fields (cluster_size et al.)
+CODE_SALT = "repro-runner-v5"  # v5: backend left the config and the key
 
 #: Default cache location, relative to the working directory.
 DEFAULT_CACHE_DIR = ".repro_cache"

@@ -69,21 +69,13 @@ class ExperimentConfig:
     ``tlb_entries``, ...) — the sensitivity-sweep axes that are machine
     knobs rather than workload knobs.
 
-    ``backend`` selects the execution backend: ``"batched"`` (default)
-    runs zero-stall memory ops as batched steps, ``"reference"`` runs
-    the pure per-event scalar semantics. The two are bit-identical in
-    every simulated quantity (enforced by the differential backend test
-    suite), so the choice only affects wall-clock speed — but it is
-    still part of the cache key, keeping records honest about how they
-    were produced.
-
     ``consistency`` selects the shared-memory machine's memory model:
     ``"sc"`` (default) is the paper's sequentially consistent machine,
     bit-identical to the pre-relaxation code path; ``"tso"`` retires
     shared stores through a per-processor FIFO store buffer;
     ``"pc"`` additionally relaxes cross-variable commit order
-    (partition consistency). Unlike ``backend``, the model *changes
-    simulated results*, so it is both validated and cache-keyed.
+    (partition consistency). The model *changes simulated results*, so
+    it is both validated and cache-keyed.
 
     ``preset`` picks the machine table the config starts from:
     ``"paper"`` (Tables 1-3), ``"multicore"``, or ``"cluster"`` (see
@@ -97,17 +89,10 @@ class ExperimentConfig:
     app: Any = None
     options: Tuple[Tuple[str, Any], ...] = ()
     machine: Tuple[Tuple[str, Any], ...] = ()
-    backend: str = "batched"
     consistency: str = "sc"
     preset: str = "paper"
 
     def __post_init__(self) -> None:
-        if self.backend not in ("reference", "batched"):
-            raise ValueError(
-                f"unknown backend {self.backend!r}"
-                f"{suggest(self.backend, ['reference', 'batched'])}; "
-                "known: ['batched', 'reference']"
-            )
         if self.consistency not in MEMORY_MODELS:
             raise ValueError(
                 f"unknown consistency {self.consistency!r}"
@@ -216,7 +201,6 @@ class ExperimentConfig:
             "app": _jsonable(self.app),
             "options": _jsonable(dict(self.options)),
             "machine": asdict(self.machine_params()),
-            "backend": self.backend,
             "consistency": self.consistency,
         }
 

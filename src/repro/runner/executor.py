@@ -32,6 +32,8 @@ WorkItem = Tuple[str, Optional[Mapping[str, Any]]]
 
 def default_jobs() -> int:
     """The default ``--jobs``: every core the scheduler gives us."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
     return os.cpu_count() or 1
 
 
@@ -117,19 +119,32 @@ def run_parallel(
 ) -> List[RunRecord]:
     """Fan groups out over ``jobs`` spawned worker processes.
 
-    Results are reported to ``progress`` as each group completes;
-    the returned list is unordered (callers re-index by exp_id).
+    With ``jobs <= 1`` or a single group the groups run in this
+    process instead: one worker could only add its start-up cost, and
+    it would re-import a clean registry that lacks any experiment
+    registered at run time in this process. Results are reported to
+    ``progress`` as each group completes; the returned list is
+    unordered (callers re-index by exp_id).
     """
+    if jobs > 1 and len(groups) > 1:
+        return run_in_workers(groups, jobs, progress)
     records: List[RunRecord] = []
-    if jobs <= 1:
-        for group in groups:
-            batch = run_group(group)
-            records.extend(batch)
-            if progress is not None:
-                for record in batch:
-                    progress(record)
-        return records
+    for group in groups:
+        batch = run_group(group)
+        records.extend(batch)
+        if progress is not None:
+            for record in batch:
+                progress(record)
+    return records
 
+
+def run_in_workers(
+    groups: Sequence[Sequence[WorkItem]],
+    jobs: int,
+    progress=None,
+) -> List[RunRecord]:
+    """Run groups in at most ``jobs`` spawned worker processes, always."""
+    records: List[RunRecord] = []
     context = multiprocessing.get_context("spawn")
     workers = min(jobs, len(groups))
     with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:

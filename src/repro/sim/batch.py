@@ -2,13 +2,14 @@
 
 A :class:`BatchScript` is a small op table an application inner loop
 builds once per logical step and hands to ``ctx.run_batch``. On the
-reference backend the script is decomposed into the exact scalar
+scalar reference contexts (the base ``SmContext``/``MpContext``, kept
+as the differential oracle) the script is decomposed into the exact scalar
 ``read``/``write``/``compute`` calls the program would have made, so a
 batch is purely a *declaration* of already-consecutive operations — it
-can never reorder them. The batched backend executes the same table as
+can never reorder them. The batched contexts execute the same table as
 one step: contiguous cache-block runs are probed in bulk and only the
 ops that actually stall fall back to the scalar protocol path, which is
-what makes the two backends bit-identical by construction.
+what makes the two context families bit-identical by construction.
 
 Ops are stored as plain tuples keyed by kind; ``values`` for a write or
 scatter may be a callable receiving the list of results produced so far
@@ -58,7 +59,7 @@ class BatchScript:
 
     def __init__(self) -> None:
         self.ops: List[Tuple] = []
-        # Per-op verdict memo, lazily allocated by the batched backend on
+        # Per-op verdict memo, lazily allocated by the batched contexts on
         # first execution (None until then). Prebuilt scripts carry their
         # memoized probe verdicts — stamped with the TLB/cache versions
         # they were computed at — across iterations; see repro.sm.batched.

@@ -326,7 +326,7 @@ class Engine:
     def consume_inline_delay(self, cycles: int) -> bool:
         """Advance time ``cycles`` inline for the currently-running action.
 
-        The batched backend's time-advance fast path: a positive
+        The batched contexts' time-advance fast path: a positive
         ``Delay`` normally suspends the process and re-enters the event
         loop via the heap. When the suspended continuation would be the
         *very next* event anyway — nothing due now, every heap entry

@@ -1,4 +1,4 @@
-"""Batched execution backend for the shared-memory context.
+"""Batched execution for the shared-memory context.
 
 :class:`BatchedSmContext` executes the common case of every memory op —
 the whole range TLB-resident and cache-resident with sufficient

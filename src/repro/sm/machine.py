@@ -96,19 +96,13 @@ class SmMachine:
         seed: int = 1994,
         costs: Optional[CostModel] = None,
         allocation_policy: HomePolicy = HomePolicy.ROUND_ROBIN,
-        backend: str = "batched",
         consistency: str = "sc",
     ) -> None:
-        if backend not in ("reference", "batched"):
-            raise ValueError(
-                f"unknown backend {backend!r}; use 'reference' or 'batched'"
-            )
         if consistency not in MEMORY_MODELS:
             raise ValueError(
                 f"unknown consistency {consistency!r}; "
                 f"known: {list(MEMORY_MODELS)}"
             )
-        self.backend = backend
         self.consistency = consistency
         self.params = params or MachineParams.paper()
         self.costs = costs or CostModel()
@@ -125,14 +119,14 @@ class SmMachine:
         self.directories = [Directory(self, pid) for pid in range(self.nprocs)]
         self.cache_ctrls = [CacheCtrl(self, pid) for pid in range(self.nprocs)]
         if consistency != "sc":
-            # Relaxed models need per-op store buffering, so both
-            # backends run the scalar relaxed context (batched bulk
-            # steps assume SC visibility).
+            # Relaxed models need per-op store buffering, so they run
+            # the scalar relaxed context (batched bulk steps assume SC
+            # visibility).
             from repro.sm.relaxed import RelaxedSmContext
 
             context_cls = RelaxedSmContext
         else:
-            context_cls = BatchedSmContext if backend == "batched" else SmContext
+            context_cls = BatchedSmContext
         self.contexts = [context_cls(self, pid) for pid in range(self.nprocs)]
         self.block_home: Dict[int, int] = {}
         # Blocks with a prefetch outstanding (Section 5.3.4 extension).

@@ -1,9 +1,8 @@
 """Relaxed-consistency execution for the shared-memory machine.
 
 Under ``consistency="tso"`` or ``"pc"`` the machine builds
-:class:`RelaxedSmContext` (for *both* execution backends — batched
-bulk runs decompose to the scalar ops below, see
-:mod:`repro.sm.batched`), which places a semantic per-processor
+:class:`RelaxedSmContext` (batch scripts decompose to the scalar ops
+below, see :mod:`repro.sm.batched`), which places a semantic per-processor
 :class:`~repro.arch.write_buffer.StoreBuffer` between the processor and
 the Dir_nNB protocol:
 

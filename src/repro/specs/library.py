@@ -10,10 +10,6 @@ registries with the CLI's did-you-mean errors, so a YAML-loaded spec
 carries the *same function objects* a Python registration would — which
 is what makes the YAML↔Python parity bit-identical (dataclass equality
 included).
-
-The functions themselves are the former ``repro.sweep.specs``
-registrations, moved here verbatim when the shipped specs migrated to
-``specs/sweeps/*.yaml``.
 """
 
 from __future__ import annotations

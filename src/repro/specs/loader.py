@@ -502,25 +502,17 @@ def load_sweep(ref: str) -> SweepSpec:
 
 
 def get_sweep(name: str) -> SweepSpec:
-    """The canonical sweep-name resolver: YAML first, registry shim second.
+    """The canonical sweep-name resolver over the YAML spec search path.
 
     ``repro sweep <name>``, ``api.sweep(name)``, and the serve endpoint
-    all come through here. YAML specs (shipped or user-dir) win; names
-    registered in the deprecated ``repro.sweep.specs.SWEEP_SPECS`` dict
-    still resolve afterwards, so legacy Python registrations keep
-    working through the migration.
+    all come through here.
     """
     if _looks_like_path(name):
         return load_sweep(name)
     sweeps = discovered_sweeps()
     if name in sweeps:
         return sweeps[name]
-    from repro.sweep import specs as _legacy
-
-    legacy = _legacy._registry()
-    if name in legacy:
-        return legacy[name]
-    known = sorted(set(sweeps) | set(legacy))
+    known = sorted(sweeps)
     raise ValueError(
         f"unknown sweep {name!r}{_suggest(name, known)}; available: "
         + ", ".join(known)

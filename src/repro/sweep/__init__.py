@@ -31,21 +31,15 @@ from repro.sweep.spec import CrossoverSpec, SweepPoint, SweepSpec
 def __getattr__(name: str):
     # Lazy, to avoid a circular import with repro.specs (which builds
     # SweepSpec objects from YAML and therefore imports this package's
-    # submodules): the canonical YAML-first resolver, plus the
-    # deprecated registry dict round-tripped through the YAML loader.
+    # submodules): the canonical YAML resolver.
     if name == "get_sweep":
         from repro.specs import get_sweep
 
         return get_sweep
-    if name == "SWEEP_SPECS":
-        from repro.sweep import specs as _legacy
-
-        return _legacy.SWEEP_SPECS  # emits the shim's DeprecationWarning
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "SWEEP_SCHEMA",
-    "SWEEP_SPECS",
     "CrossoverSpec",
     "SweepPoint",
     "SweepResult",

@@ -186,13 +186,12 @@ def run_sweep(
         run_parallel(
             plan_batches(to_run, jobs=jobs), jobs=jobs, progress=collect
         )
-        if jobs <= 1:
-            # In-process batches memoize raw results (live machine
-            # objects); a sweep has no baseline comparisons to serve,
-            # so drop them rather than hold every point's machines.
-            from repro.runner.api import clear_memory_cache
+        # In-process batches memoize raw results (live machine
+        # objects); a sweep has no baseline comparisons to serve, so
+        # drop them rather than hold every point's machines.
+        from repro.runner.api import clear_memory_cache
 
-            clear_memory_cache()
+        clear_memory_cache()
 
     simulated = len(to_run)
 

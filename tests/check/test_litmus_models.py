@@ -9,6 +9,7 @@ expected-outcome table, exercise the distinguishing cells on the real
 machine, and prove mislabeled matrix entries fail loudly.
 """
 
+import contextlib
 from dataclasses import replace
 
 import pytest
@@ -164,11 +165,13 @@ def test_matrix_records_have_verdicts():
     assert by_model["tso"]["relaxed_observed"] >= 1
 
 
-@pytest.mark.parametrize("backend", ["batched", "reference"])
-def test_full_matrix_holds(backend):
-    """Every cell of the model x shape matrix, both backends: any
-    verdict contradiction raises inside run_litmus."""
-    rows = run_matrix(seeds=DEFAULT_SEEDS, backend=backend)
+@pytest.mark.parametrize("family", ["batched", "reference"])
+def test_full_matrix_holds(family, reference_contexts):
+    """Every cell of the model x shape matrix, on both context families
+    (the shipped batched contexts and the scalar reference contexts):
+    any verdict contradiction raises inside run_litmus."""
+    with reference_contexts() if family == "reference" else contextlib.nullcontext():
+        rows = run_matrix(seeds=DEFAULT_SEEDS)
     assert len(rows) == 3 * len(LITMUS_TESTS)
     for row in rows:
         expected = EXPECTED_MATRIX[row["test"]]

@@ -38,8 +38,7 @@ def test_facade_sweep_accepts_spec_name(monkeypatch, tmp_path):
     from repro.core import experiments
     from repro.runner.cache import ResultCache
     from repro.runner.config import ExperimentConfig
-    from repro.sweep import SweepSpec
-    from repro.sweep import specs as sweep_specs
+    from repro.specs import library
 
     exp = experiments.ExperimentSpec(
         id="fake_facade", title="f", paper_tables="none", description="d",
@@ -48,12 +47,22 @@ def test_facade_sweep_accepts_spec_name(monkeypatch, tmp_path):
         shape=lambda r: [("ran", True, "ok")], paper={},
     )
     monkeypatch.setitem(experiments.EXPERIMENTS, "fake_facade", exp)
-    spec = SweepSpec(
-        name="facade-tiny", exp_id="fake_facade",
-        axes=(("procs", (1, 2)),), metrics=("value",),
-        extra_metrics={"value": lambda s: s["data"]["value"]},
+    monkeypatch.setitem(
+        library.EXTRA_METRICS, "facade-tiny",
+        {"value": lambda s: s["data"]["value"]},
     )
-    monkeypatch.setitem(sweep_specs.SWEEP_SPECS, "facade-tiny", spec)
+    sweeps = tmp_path / "specs" / "sweeps"
+    sweeps.mkdir(parents=True)
+    (sweeps / "facade-tiny.yaml").write_text(
+        "kind: sweep\n"
+        "id: facade-tiny\n"
+        "experiment: fake_facade\n"
+        "description: tiny\n"
+        "axes: [{axis: procs, values: [1, 2]}]\n"
+        "metrics: [value]\n"
+        "extra_metrics: facade-tiny\n"
+    )
+    monkeypatch.setenv("REPRO_SPECS_DIR", str(tmp_path / "specs"))
 
     api.clear_memory_cache()
     result = api.sweep("facade-tiny", jobs=1, cache=ResultCache(tmp_path))
@@ -68,12 +77,3 @@ def test_facade_sweep_accepts_spec_name(monkeypatch, tmp_path):
 def test_facade_sweep_unknown_name():
     with pytest.raises(ValueError, match="unknown sweep"):
         api.sweep("definitely-not-a-sweep")
-
-
-def test_run_experiment_wrapper_deprecated_in_favor_of_facade():
-    from repro.core.experiments import run_experiment
-
-    api.clear_memory_cache()
-    with pytest.warns(DeprecationWarning, match="repro.api.run_raw"):
-        run_experiment("validation")
-    api.clear_memory_cache()

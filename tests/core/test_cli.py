@@ -74,6 +74,33 @@ def test_run_failing_checks_exit_code(monkeypatch, capsys):
     clear_memory_cache()
 
 
+def test_run_at_jobs_2_sees_an_in_process_experiment(monkeypatch, capsys):
+    """One group runs in this process at any --jobs, so an experiment
+    registered at run time (unknown to a fresh worker) still runs."""
+    spec = experiments.ExperimentSpec(
+        id="fake_jobs",
+        title="registered in-process",
+        paper_tables="none",
+        description="test-only",
+        runner=lambda config: {"v": 1},
+        config=ExperimentConfig(exp_id="fake_jobs"),
+        shape=lambda r: [("ran", True, "ok")],
+        paper={"n/a": 0},
+    )
+    monkeypatch.setitem(experiments.EXPERIMENTS, "fake_jobs", spec)
+    clear_memory_cache()
+    assert main(["run", "fake_jobs", "--jobs", "2"]) == 0
+    assert "[PASS] ran: ok" in capsys.readouterr().out
+    clear_memory_cache()
+
+
+@pytest.mark.parametrize("command", ["run", "bench", "check", "query"])
+def test_backend_flag_is_a_usage_error(command):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--backend", "reference"])
+    assert excinfo.value.code == 2
+
+
 def test_cache_ls_and_clear(capsys):
     assert main(["cache", "ls"]) == 0
     assert "cache empty" in capsys.readouterr().out

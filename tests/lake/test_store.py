@@ -100,3 +100,42 @@ def test_metrics_rows_written_once_per_run(lake):
     assert counts["metrics"] > counts["runs"]  # several metrics per run
     row = next(lake.run_rows())
     assert isinstance(row["sm_over_mp"], float)
+
+
+def _v1_lake(path):
+    """A hand-made schema-v1 lake: the old ``runs.backend NOT NULL``."""
+    import sqlite3
+
+    conn = sqlite3.connect(str(path))
+    conn.executescript(
+        "CREATE TABLE lake_meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);"
+        "INSERT INTO lake_meta VALUES ('lake_schema', '1');"
+        "CREATE TABLE runs (cache_key TEXT PRIMARY KEY, exp_id TEXT NOT NULL,"
+        " backend TEXT NOT NULL, consistency TEXT NOT NULL);"
+    )
+    conn.commit()
+    conn.close()
+    return path
+
+
+def test_lake_of_another_schema_is_refused(tmp_path):
+    from repro.lake import LAKE_SCHEMA, LakeSchemaError
+
+    path = _v1_lake(tmp_path / "old.sqlite")
+    with pytest.raises(LakeSchemaError) as excinfo:
+        RunLake(path)
+    message = str(excinfo.value)
+    assert "schema-v1" in message and f"schema v{LAKE_SCHEMA}" in message
+    assert "fresh path" in message
+
+
+@pytest.mark.parametrize(
+    "argv", [["lake", "ingest"], ["lake", "stats"], ["query"]]
+)
+def test_cli_exits_1_on_a_lake_of_another_schema(tmp_path, argv, capsys):
+    from repro.cli import main
+
+    path = _v1_lake(tmp_path / "old.sqlite")
+    assert main([*argv, "--lake-path", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "schema-v1" in err

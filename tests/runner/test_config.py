@@ -59,6 +59,9 @@ def test_with_overrides_options_merge():
 def test_with_overrides_unknown_key_rejected():
     with pytest.raises(ValueError, match="unknown gauss config override"):
         EXPERIMENTS["gauss"].config.with_overrides({"nope": 1})
+    # A leftover backend key fails loudly, before any simulation.
+    with pytest.raises(ValueError, match="unknown gauss config override 'backend'"):
+        EXPERIMENTS["gauss"].config.with_overrides({"backend": "batched"})
 
 
 def test_with_overrides_suggests_close_match():
@@ -124,27 +127,6 @@ def test_registry_configs_match_ids():
         assert spec.config.exp_id == exp_id
 
 
-def test_backend_field_validated_with_suggestion():
-    with pytest.raises(ValueError, match="did you mean 'batched'"):
-        ExperimentConfig(exp_id="x", backend="bathced")
-    with pytest.raises(ValueError, match="unknown backend 'fast'"):
-        ExperimentConfig(exp_id="x", backend="fast")
-
-
-def test_backend_override_changes_cache_identity():
-    from repro.runner.cache import cache_key
-
-    base = EXPERIMENTS["mse"].config
-    assert base.backend == "batched"
-    reference = base.with_overrides({"backend": "reference"})
-    assert reference.backend == "reference"
-    # The two backends are bit-identical in simulated facts, but records
-    # must still say which backend produced them.
-    assert cache_key(base) != cache_key(reference)
-    assert base.to_jsonable()["backend"] == "batched"
-    assert reference.to_jsonable()["backend"] == "reference"
-
-
 def test_consistency_field_validated_with_suggestion():
     with pytest.raises(ValueError, match="did you mean 'tso'"):
         ExperimentConfig(exp_id="x", consistency="tsso")
@@ -160,8 +142,8 @@ def test_preset_field_validated_with_suggestion():
 
 
 def test_consistency_override_changes_cache_identity():
-    """Unlike backend, the model changes simulated results — it must be
-    both validated and cache-keyed."""
+    """The model changes simulated results — it must be both validated
+    and cache-keyed."""
     from repro.runner.cache import cache_key
 
     base = EXPERIMENTS["mse"].config

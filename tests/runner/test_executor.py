@@ -4,7 +4,6 @@ The simulation-running tests use sweep overrides to shrink workloads
 (the harness's own parameterization feature), so they run in seconds.
 """
 
-import warnings
 
 import pytest
 
@@ -53,7 +52,7 @@ def test_plan_groups_colocates_baselines():
 
 
 # ---------------------------------------------------------------------------
-# run_raw / run_experiment compatibility.
+# run_raw memoization.
 # ---------------------------------------------------------------------------
 
 
@@ -64,24 +63,6 @@ def test_run_raw_memoizes_per_config():
     # A different configuration is a different memo slot.
     swept = api.run_raw("validation", {"seed": 7})
     assert swept is not first
-    api.clear_memory_cache()
-
-
-def test_run_experiment_wrapper_warns_but_still_works():
-    api.clear_memory_cache()
-    with pytest.warns(DeprecationWarning):
-        pair = experiments.run_experiment("gauss", overrides=SMALL_GAUSS)
-    assert pair.name == "Gauss"
-    assert pair.mp_result.board.num_procs == 4
-    api.clear_memory_cache()
-
-
-def test_clear_cache_shim_warns_and_delegates():
-    api.clear_memory_cache()
-    first = api.run_raw("validation")
-    with pytest.warns(DeprecationWarning):
-        experiments.clear_cache()
-    assert api.run_raw("validation") is not first
     api.clear_memory_cache()
 
 
@@ -162,28 +143,53 @@ def _strip_timing(record):
 
 
 @pytest.mark.slow
-def test_worker_vs_inprocess_determinism(tmp_path):
+def test_worker_vs_inprocess_determinism(tmp_path, monkeypatch):
     """A spawned worker must produce bit-identical cycle counts."""
-    api.clear_memory_cache()
-    overrides = {"gauss": SMALL_GAUSS}
+    ids = ["validation", "gauss"]  # two groups, so jobs=2 really spawns
+    overrides = {"gauss": SMALL_GAUSS, "validation": {"seed": 11}}
     inproc = api.execute(
-        ["gauss"], jobs=1, cache=ResultCache(tmp_path / "a"),
-        overrides=overrides,
-    )["gauss"]
-    api.clear_memory_cache()
-    worker = api.execute(
-        ["gauss"], jobs=2, cache=ResultCache(tmp_path / "b"),
-        overrides=overrides,
-    )["gauss"]
-    assert worker.cached is False
-    assert _strip_timing(worker) == _strip_timing(inproc)
-    # The headline quantities really are cycle counts, not just shapes.
-    assert worker.summary["mp"]["overall"]["total"] > 0
-    assert (
-        worker.summary["mp"]["overall"]["total"]
-        == inproc.summary["mp"]["overall"]["total"]
+        ids, jobs=1, cache=ResultCache(tmp_path / "a"), overrides=overrides
     )
     api.clear_memory_cache()
+
+    def not_in_this_process(*_args, **_kwargs):
+        raise AssertionError("a jobs=2 run of two groups simulated in-process")
+
+    # Spawned workers import a fresh repro.runner.api; only this
+    # process sees the patch.
+    monkeypatch.setattr(api, "run_raw", not_in_this_process)
+    worker = api.execute(
+        ids, jobs=2, cache=ResultCache(tmp_path / "b"), overrides=overrides
+    )
+    for exp_id in ids:
+        assert worker[exp_id].cached is False
+        assert _strip_timing(worker[exp_id]) == _strip_timing(inproc[exp_id])
+    # The headline quantities really are cycle counts, not just shapes.
+    total = worker["gauss"].summary["mp"]["overall"]["total"]
+    assert total > 0
+    assert total == inproc["gauss"].summary["mp"]["overall"]["total"]
+
+
+def test_single_group_runs_in_process(monkeypatch):
+    """One group never pays for a worker, whatever ``jobs`` says."""
+    from repro.runner import executor
+
+    def no_workers(*_args, **_kwargs):
+        raise AssertionError("spawned a worker for a single group")
+
+    monkeypatch.setattr(executor, "run_in_workers", no_workers)
+    records = executor.run_parallel([[("validation", None)]], jobs=4)
+    assert [r.exp_id for r in records] == ["validation"]
+
+
+def test_default_jobs_counts_the_cpus_this_process_may_use(monkeypatch):
+    from repro.runner import executor
+
+    monkeypatch.setattr(
+        executor.os, "sched_getaffinity", lambda _pid: {0, 3}, raising=False
+    )
+    monkeypatch.setattr(executor.os, "cpu_count", lambda: 64)
+    assert executor.default_jobs() == 2
 
 
 @pytest.mark.slow

@@ -137,9 +137,9 @@ class TestRunLifecycle:
         assert done["state"] == "done"
 
     def test_consistency_and_preset_overrides_accepted(self, server):
-        """The memory-model and machine-table channels ride the same
-        overrides surface as backend; a typo gets the config layer's
-        did-you-mean as a 400."""
+        """The memory-model and machine-table channels ride the
+        overrides surface; a typo gets the config layer's did-you-mean
+        as a 400, and so does a leftover ``backend`` key."""
         status, job = post(
             server, "/v1/runs",
             {"experiment": "validation",
@@ -155,6 +155,12 @@ class TestRunLifecycle:
         )
         assert status == 400
         assert "did you mean 'tso'" in body["error"]
+        status, body = post(
+            server, "/v1/runs",
+            {"experiment": "validation", "overrides": {"backend": "batched"}},
+        )
+        assert status == 400
+        assert "unknown validation config override 'backend'" in body["error"]
 
     def test_jobs_listing(self, server):
         post(server, "/v1/runs", {"experiment": "validation"})

@@ -17,7 +17,7 @@ def test_script_builder_chains_and_counts():
     assert [op[0] for op in script.ops] == [
         "read", "compute", "write", "compute_flops",
     ]
-    # The verdict memo belongs to the executing backend, not the builder.
+    # The verdict memo belongs to the executing context, not the builder.
     assert script.memos is None
 
 

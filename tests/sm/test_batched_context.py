@@ -1,6 +1,7 @@
-"""White-box tests of the batched backend's verdict memoization.
+"""White-box tests of the batched context's verdict memoization.
 
-The differential suite proves the backends bit-identical end to end;
+The differential suite proves the batched and reference contexts
+bit-identical end to end;
 these tests pin the memo mechanics — verdicts are stamped with the
 TLB/cache versions they were computed at, reused only while both stand,
 and never recorded for outcomes that themselves changed line states.
@@ -12,7 +13,7 @@ from repro.sim.batch import BatchScript
 from repro.sm.batched import BatchedSmContext
 
 
-def test_machine_default_backend_is_batched(machine2):
+def test_sc_machine_builds_batched_contexts(machine2):
     def program(ctx):
         assert isinstance(ctx, BatchedSmContext)
         yield from ctx.compute(1)

@@ -6,6 +6,8 @@ forwarding, fence drain, deferred visibility, and the create() release
 deferral — on real machines, through the public program surface.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -16,25 +18,25 @@ from repro.sm.machine import SmMachine
 from repro.sm.relaxed import RelaxedSmContext
 
 
-def _machine(consistency, nprocs=2, backend="batched", seed=1):
+def _machine(consistency, nprocs=2, seed=1):
     return SmMachine(
         MachineParams.paper(num_processors=nprocs),
         seed=seed,
-        backend=backend,
         consistency=consistency,
     )
 
 
-def test_context_selection_by_model_and_backend():
-    """sc keeps the per-backend contexts; relaxed models force the
-    scalar relaxed context on *both* backends (batched bulk steps
-    assume SC visibility)."""
+def test_context_selection_by_model(reference_contexts):
+    """sc builds the batched context (the scalar one under the
+    reference fixture); relaxed models build the scalar relaxed context
+    either way (batched bulk steps assume SC visibility)."""
     assert type(_machine("sc").contexts[0]) is BatchedSmContext
-    assert type(_machine("sc", backend="reference").contexts[0]) is SmContext
-    for model in ("tso", "pc"):
-        for backend in ("batched", "reference"):
-            machine = _machine(model, backend=backend)
-            assert type(machine.contexts[0]) is RelaxedSmContext
+    with reference_contexts():
+        assert type(_machine("sc").contexts[0]) is SmContext
+    for family in (contextlib.nullcontext, reference_contexts):
+        with family():
+            for model in ("tso", "pc"):
+                assert type(_machine(model).contexts[0]) is RelaxedSmContext
 
 
 def test_unknown_consistency_rejected():

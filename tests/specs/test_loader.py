@@ -201,6 +201,19 @@ def test_get_sweep_typo_matches_cli_contract():
     assert "available:" in message
 
 
+def test_package_get_sweep_is_canonical_and_silent():
+    import warnings
+
+    import repro.sweep
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        spec = repro.sweep.get_sweep("em3d-latency")
+    assert spec == get_sweep("em3d-latency")
+    with pytest.raises(AttributeError):
+        repro.sweep.no_such_name
+
+
 def test_expand_glob_falls_back_to_shipped_dir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # no ./specs here; fallback anchor kicks in
     paths = expand_glob("specs/sweeps/em3d-*.yaml")

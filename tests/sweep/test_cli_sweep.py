@@ -8,8 +8,7 @@ from repro.cli import main
 from repro.core import experiments
 from repro.runner.api import clear_memory_cache
 from repro.runner.config import ExperimentConfig
-from repro.sweep import SweepSpec
-from repro.sweep import specs as sweep_specs
+from repro.specs import library
 
 
 @pytest.fixture(autouse=True)
@@ -19,9 +18,23 @@ def _fresh_memo():
     clear_memory_cache()
 
 
+TINY_YAML = """\
+kind: sweep
+id: tiny
+experiment: fake_cli
+description: tiny
+axes:
+  - axis: procs
+    values: [1, 2, 3]
+metrics: [value]
+extra_metrics: tiny
+checks: tiny
+"""
+
+
 @pytest.fixture
-def tiny_sweep(monkeypatch):
-    """A shipped-looking spec over a fake experiment (jobs=1 only)."""
+def tiny_sweep(monkeypatch, tmp_path):
+    """A YAML spec on the search path over a fake experiment (jobs=1 only)."""
 
     def runner(config):
         return {"value": 10.0 * config.procs}
@@ -32,17 +45,19 @@ def tiny_sweep(monkeypatch):
         shape=lambda r: [("ran", True, "ok")], paper={},
     )
     monkeypatch.setitem(experiments.EXPERIMENTS, "fake_cli", exp)
-    spec = SweepSpec(
-        name="tiny", exp_id="fake_cli",
-        axes=(("procs", (1, 2, 3)),),
-        metrics=("value",),
-        extra_metrics={"value": lambda s: s["data"]["value"]},
-        checks=lambda result: [
+    monkeypatch.setitem(
+        library.EXTRA_METRICS, "tiny", {"value": lambda s: s["data"]["value"]}
+    )
+    monkeypatch.setitem(
+        library.CHECKS, "tiny",
+        lambda result: [
             ("grows", result.series("value")[1] == [10.0, 20.0, 30.0], "ok"),
         ],
     )
-    monkeypatch.setitem(sweep_specs.SWEEP_SPECS, "tiny", spec)
-    return spec
+    specs_dir = tmp_path / "specs"
+    (specs_dir / "sweeps").mkdir(parents=True)
+    (specs_dir / "sweeps" / "tiny.yaml").write_text(TINY_YAML)
+    monkeypatch.setenv("REPRO_SPECS_DIR", str(specs_dir))
 
 
 def test_sweep_unknown_spec_exits_2(capsys):

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.runner.cache import ResultCache
-from repro.sweep import SWEEP_SPECS, get_sweep, run_sweep
+from repro.specs import discovered_sweeps
+from repro.sweep import get_sweep, run_sweep
 
 
 def test_get_sweep_suggests_on_typo():
@@ -14,7 +15,7 @@ def test_get_sweep_suggests_on_typo():
 def test_shipped_specs_are_well_formed():
     from repro.core.experiments import EXPERIMENTS
 
-    for spec in SWEEP_SPECS.values():
+    for spec in discovered_sweeps().values():
         assert spec.exp_id in EXPERIMENTS
         # Grid expansion (axis validation) works against the real config.
         points = spec.grid(EXPERIMENTS[spec.exp_id].config)
