@@ -15,8 +15,6 @@ need lives here, re-exported from the subsystems that implement it:
 * :func:`sweep` — a declarative sensitivity sweep
   (:class:`SweepSpec` or a shipped spec name) through the same
   executor and cache; returns a :class:`SweepResult`.
-* :func:`bench` — the kernel + end-to-end benchmark suite; returns
-  the JSON-ready result document.
 * :func:`trace_for` — one traced simulation; returns a
   :class:`TraceResult` holding the validated Chrome Trace document.
 * :func:`serve` — the harness as a long-running HTTP service
@@ -65,7 +63,6 @@ __all__ = [
     "SweepResult",
     "SweepSpec",
     "TraceResult",
-    "bench",
     "clear_memory_cache",
     "execute",
     "get_sweep",
@@ -155,17 +152,6 @@ def sweep(
     if isinstance(spec, str):
         spec = get_sweep(spec)
     return run_sweep(spec, axes=axes, **kwargs)
-
-
-def bench(quick: bool = False, apps: bool = True, **kwargs: Any) -> Dict[str, Any]:
-    """Run the benchmark suite; returns the JSON-ready document.
-
-    Remaining keyword arguments pass through to
-    :func:`repro.runner.bench.run_benchmarks` (``log``, ...).
-    """
-    from repro.runner import bench as bench_impl
-
-    return bench_impl.run_benchmarks(quick=quick, apps=apps, **kwargs)
 
 
 def serve(

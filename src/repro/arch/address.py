@@ -50,20 +50,6 @@ def page_span(start: int, length: int, page_bytes: int) -> Iterator[int]:
     return block_span(start, length, page_bytes)
 
 
-def block_run(start: int, length: int, block_bytes: int) -> range:
-    """The addresses of :func:`block_span` as a C-level ``range``.
-
-    Same aligned addresses in the same order; the ``range`` form gives
-    the batched contexts O(1) length and allocation-free iteration when
-    probing a whole run of blocks at once.
-    """
-    if length <= 0:
-        return range(0)
-    first = start - (start % block_bytes)
-    last = (start + length - 1) - ((start + length - 1) % block_bytes)
-    return range(first, last + 1, block_bytes)
-
-
 def align_up(value: int, alignment: int) -> int:
     """Smallest multiple of ``alignment`` that is >= ``value``."""
     remainder = value % alignment

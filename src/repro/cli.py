@@ -10,8 +10,6 @@ Commands:
 * ``python -m repro run --all --jobs 4 --json out.json`` — the full
   evaluation section, fanned out over 4 worker processes, records
   exported as JSON;
-* ``python -m repro bench --json BENCH_kernel.json`` — the kernel
-  benchmark suite, with an optional ``--baseline`` regression gate;
 * ``python -m repro trace <id> [--out trace.json] [--procs 0-7]
   [--max-events N]`` — re-run one experiment with the timeline tracer
   installed, write Chrome Trace Event JSON (Perfetto-loadable), print
@@ -61,7 +59,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.core.experiments import EXPERIMENTS, get_experiment
 from repro.runner.api import execute
@@ -426,37 +424,6 @@ def _run_one_sweep(spec, args: argparse.Namespace, multi: bool = False) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.runner import bench
-
-    print("running kernel benchmarks...", file=sys.stderr, flush=True)
-    document = bench.run_benchmarks(quick=args.quick, apps=not args.no_apps)
-    rate = document["kernel"]["events_per_sec"]
-    print(f"kernel aggregate: {rate} events/sec")
-
-    if args.json:
-        try:
-            Path(args.json).write_text(json.dumps(document, indent=1, sort_keys=True))
-        except OSError as exc:
-            print(f"repro bench: error: cannot write {args.json}: {exc}",
-                  file=sys.stderr)
-            return 2
-        print(f"wrote benchmark results to {args.json}", file=sys.stderr)
-
-    if args.baseline:
-        baseline = bench.load_baseline(args.baseline)
-        if baseline is None:
-            print(f"no baseline at {args.baseline}; skipping regression gate")
-            return 0
-        ok, message = bench.compare(document, baseline, threshold=args.threshold)
-        print(message)
-        if not ok:
-            print("benchmark regression gate FAILED", file=sys.stderr)
-            return 1
-        print("benchmark regression gate passed")
-    return 0
-
-
 def _parse_procs(text: str) -> List[int]:
     """Parse a processor set: ``0-7``, ``0,2,5-6`` — for ``--procs``."""
     procs: List[int] = []
@@ -472,6 +439,17 @@ def _parse_procs(text: str) -> List[int]:
     if not procs:
         raise ValueError(f"empty processor set {text!r}")
     return procs
+
+
+def _write_trace(path: Path, doc: Dict[str, Any]) -> bool:
+    """Write a trace document, creating parent directories; False on error."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(doc))
+    except OSError as exc:
+        print(f"repro trace: error: cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -502,7 +480,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
                 doc = json.loads(path.read_text())
                 print(render_timeline(doc))
                 if args.out and Path(args.out) != path:
-                    Path(args.out).write_text(json.dumps(doc))
+                    if not _write_trace(Path(args.out), doc):
+                        return 2
                     print(f"\ncopied trace to {args.out}", file=sys.stderr)
                 print(f"\ntrace: {path} (cached; --force re-simulates)")
                 return 0
@@ -520,11 +499,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         out_path = Path(args.out)
     else:
         out_path = cache.directory / "traces" / f"{args.experiment}-{key[:16]}.json"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    try:
-        out_path.write_text(json.dumps(doc))
-    except OSError as exc:
-        print(f"repro trace: error: cannot write {out_path}: {exc}", file=sys.stderr)
+    if not _write_trace(out_path, doc):
         return 2
 
     print(render_timeline(doc))
@@ -917,24 +892,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="pick the spec's most recent manifest "
                                    "back up (reuses its axes)")
     sweep_parser.set_defaults(handler=cmd_sweep)
-
-    bench_parser = subparsers.add_parser(
-        "bench", help="kernel/microbenchmark suite with regression gate"
-    )
-    bench_parser.add_argument("--json", metavar="PATH",
-                              help="write results (BENCH_kernel.json format)")
-    bench_parser.add_argument("--baseline", metavar="PATH",
-                              help="compare against a committed baseline; "
-                                   "missing file skips the gate")
-    bench_parser.add_argument("--threshold", type=float, default=0.75,
-                              metavar="RATIO",
-                              help="fail below RATIO x baseline events/sec "
-                                   "(default: 0.75)")
-    bench_parser.add_argument("--quick", action="store_true",
-                              help="smaller iteration counts (CI smoke)")
-    bench_parser.add_argument("--no-apps", action="store_true",
-                              help="skip the end-to-end app timings")
-    bench_parser.set_defaults(handler=cmd_bench)
 
     trace_parser = subparsers.add_parser(
         "trace",

@@ -14,7 +14,7 @@ into a production-shaped run pipeline:
   independent experiments in worker processes (``--jobs N``);
 * :mod:`repro.runner.api` — the high-level entry points
   (:func:`~repro.runner.api.execute`, :func:`~repro.runner.api.run_raw`)
-  the CLI, fidelity scorecard, and benchmarks are built on.
+  the CLI, fidelity scorecard, sweeps and serve layer are built on.
 
 See ``docs/runner.md`` for the cache-key scheme and the execution
 model.

@@ -4,8 +4,8 @@
   *raw* result object (a :class:`~repro.core.study.PairResult` or
   result dict), memoized per configuration for the lifetime of the
   interpreter. This is what shape checks that compare against a
-  baseline run, the benchmarks, and the legacy
-  :func:`repro.core.experiments.run_experiment` wrapper use.
+  baseline run, the executor's workers and the per-table
+  ``benchmarks/`` checks use.
 * :func:`record_for` — one experiment as a serializable
   :class:`~repro.runner.record.RunRecord`, served from the on-disk
   cache when possible (zero simulation on a warm cache).

@@ -94,7 +94,7 @@ def test_run_at_jobs_2_sees_an_in_process_experiment(monkeypatch, capsys):
     clear_memory_cache()
 
 
-@pytest.mark.parametrize("command", ["run", "bench", "check", "query"])
+@pytest.mark.parametrize("command", ["run", "check", "query"])
 def test_backend_flag_is_a_usage_error(command):
     with pytest.raises(SystemExit) as excinfo:
         main([command, "--backend", "reference"])
@@ -117,6 +117,9 @@ def test_cache_ls_and_clear(capsys):
 def test_parser_rejects_no_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench"])
+    assert excinfo.value.code == 2
 
 
 def test_parser_run_flags():

@@ -39,12 +39,17 @@ def test_trace_emits_valid_json_and_attaches_to_record(cache_dir, capsys):
     assert "machine" in timeline and "Total" in timeline
 
 
-def test_trace_rerenders_from_cache_without_resimulating(cache_dir, capsys):
+def test_trace_rerenders_from_cache_without_resimulating(cache_dir, tmp_path, capsys):
     assert cli.main(["trace", "validation"]) == 0
     capsys.readouterr()
     assert cli.main(["trace", "validation"]) == 0
     out = capsys.readouterr().out
     assert "cached; --force re-simulates" in out
+    # The warm copy creates a new --out directory, as the cold write does.
+    copy_path = tmp_path / "new" / "t.json"
+    assert cli.main(["trace", "validation", "--out", str(copy_path)]) == 0
+    assert "cached; --force re-simulates" in capsys.readouterr().out
+    assert validate_chrome_trace(json.loads(copy_path.read_text())) == []
 
 
 def test_trace_out_and_procs_options(cache_dir, tmp_path, capsys):
