@@ -59,7 +59,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import List, Optional, Union
 
 from repro.core.experiments import EXPERIMENTS, get_experiment
 from repro.runner.api import execute
@@ -243,10 +243,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     if args.json:
         payload = [record.to_jsonable() for record in records.values()]
-        try:
-            Path(args.json).write_text(json.dumps(payload, indent=1, sort_keys=True))
-        except OSError as exc:
-            print(f"repro run: error: cannot write {args.json}: {exc}", file=sys.stderr)
+        if _write_file(args.json, json.dumps(payload, indent=1, sort_keys=True), "repro run"):
             return 2
         print(f"wrote {len(payload)} records to {args.json}", file=sys.stderr)
 
@@ -272,11 +269,7 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
             dict(asdict(row), abs_error=round(row.abs_error, 3))
             for row in rows
         ]
-        try:
-            Path(args.json).write_text(json.dumps(payload, indent=1))
-        except OSError as exc:
-            print(f"repro fidelity: error: cannot write {args.json}: {exc}",
-                  file=sys.stderr)
+        if _write_file(args.json, json.dumps(payload, indent=1), "repro fidelity"):
             return 2
         print(f"wrote {len(payload)} fidelity rows to {args.json}",
               file=sys.stderr)
@@ -410,11 +403,7 @@ def _run_one_sweep(spec, args: argparse.Namespace, multi: bool = False) -> int:
         if not path:
             continue
         path = _suffixed_path(path, result.spec_name, multi)
-        try:
-            Path(path).write_text(text)
-        except OSError as exc:
-            print(f"repro sweep: error: cannot write {path}: {exc}",
-                  file=sys.stderr)
+        if _write_file(path, text, "repro sweep"):
             return 2
         print(f"wrote sweep {prog_hint} to {path}", file=sys.stderr)
 
@@ -441,15 +430,16 @@ def _parse_procs(text: str) -> List[int]:
     return procs
 
 
-def _write_trace(path: Path, doc: Dict[str, Any]) -> bool:
-    """Write a trace document, creating parent directories; False on error."""
+def _write_file(path: Union[str, Path], text: str, prog: str) -> int:
+    """Write one output file, creating parent directories; 2 on OSError, else 0."""
     try:
+        path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(doc))
+        path.write_text(text)
     except OSError as exc:
-        print(f"repro trace: error: cannot write {path}: {exc}", file=sys.stderr)
-        return False
-    return True
+        print(f"{prog}: error: cannot write {path}: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -480,7 +470,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
                 doc = json.loads(path.read_text())
                 print(render_timeline(doc))
                 if args.out and Path(args.out) != path:
-                    if not _write_trace(Path(args.out), doc):
+                    if _write_file(args.out, json.dumps(doc), "repro trace"):
                         return 2
                     print(f"\ncopied trace to {args.out}", file=sys.stderr)
                 print(f"\ntrace: {path} (cached; --force re-simulates)")
@@ -499,7 +489,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         out_path = Path(args.out)
     else:
         out_path = cache.directory / "traces" / f"{args.experiment}-{key[:16]}.json"
-    if not _write_trace(out_path, doc):
+    if _write_file(out_path, json.dumps(doc), "repro trace"):
         return 2
 
     print(render_timeline(doc))
@@ -716,10 +706,7 @@ def _emit_text(path: str, text: str, prog: str, label: str) -> int:
     if path == "-":
         print(text)
         return 0
-    try:
-        Path(path).write_text(text if text.endswith("\n") else text + "\n")
-    except OSError as exc:
-        print(f"{prog}: error: cannot write {path}: {exc}", file=sys.stderr)
+    if _write_file(path, text if text.endswith("\n") else text + "\n", prog):
         return 2
     print(f"wrote {label} to {path}", file=sys.stderr)
     return 0

@@ -4,26 +4,26 @@
   *raw* result object (a :class:`~repro.core.study.PairResult` or
   result dict), memoized per configuration for the lifetime of the
   interpreter. This is what shape checks that compare against a
-  baseline run, the executor's workers and the per-table
+  baseline run, the executor's groups and the per-table
   ``benchmarks/`` checks use.
+* :func:`run_items` — the one run driver behind the two below and
+  the sweep engine: ``(exp_id, overrides)`` items to their records,
+  cache first, the rest fanned out over worker processes.
 * :func:`record_for` — one experiment as a serializable
   :class:`~repro.runner.record.RunRecord`, served from the on-disk
   cache when possible (zero simulation on a warm cache).
-* :func:`execute` — the fan-out driver behind ``python -m repro run``:
-  cache lookups, dependency-aware grouping, multiprocessing, progress
-  reporting, and cache write-back.
+* :func:`execute` — ``python -m repro run``: records by experiment id.
 """
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
-from typing import Any, Dict, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.runner.cache import ResultCache, cache_key
 from repro.runner.config import ExperimentConfig
-from repro.runner.executor import default_jobs, plan_groups, run_parallel
-from repro.runner.record import RunRecord, build_record
+from repro.runner.executor import WorkItem, default_jobs, plan_groups, run_parallel
+from repro.runner.record import RunRecord
 
 #: In-process memo of raw results, keyed by the content address.
 #: Raw results hold live machine objects, so they cannot live on disk;
@@ -60,6 +60,75 @@ def clear_memory_cache() -> None:
     _MEMO.clear()
 
 
+def run_items(
+    items: Sequence[WorkItem],
+    jobs: Optional[int] = None,
+    cache: Optional[ResultCache] = None,
+    use_cache: bool = True,
+    force: bool = False,
+    progress: Optional[Callable[[int, RunRecord, bool], None]] = None,
+    before_run: Optional[Callable[[Dict[int, ExperimentConfig]], None]] = None,
+) -> List[RunRecord]:
+    """The one run driver: each item's record, in item order, cache first.
+
+    Each item's config is resolved once. Items with equal configs look
+    up and simulate once and share the record; equality is on the
+    frozen config, whose hash is far cheaper than its content address.
+    Cold items run as :func:`~repro.runner.executor.plan_groups` groups
+    and each record is stored as it arrives, so an interrupted run
+    keeps its finished items. ``before_run(pending)`` gets the configs
+    still to simulate, by item index, before the first simulation.
+    ``progress(index, record, simulated)`` fires once per item; only
+    the one item per config that ran says ``simulated``.
+    """
+    jobs = default_jobs() if jobs is None else max(1, jobs)
+    cache = cache if cache is not None else ResultCache()
+    load = use_cache and not force
+    records: List[Any] = [None] * len(items)
+    looked_up: Dict[Any, Optional[RunRecord]] = {}
+    waiting: Dict[str, List[int]] = {}  # content address -> item indices
+    pending: Dict[int, ExperimentConfig] = {}
+    to_run: List[WorkItem] = []
+
+    def deliver(index: int, record: RunRecord, simulated: bool) -> None:
+        records[index] = record
+        if progress is not None:
+            progress(index, record, simulated)
+
+    for index, (exp_id, overrides) in enumerate(items):
+        config = resolve_config(exp_id, overrides)
+        share: Any = config
+        try:
+            hash(config)
+        except TypeError:  # a list-valued override: unhashable, unshared
+            share = index
+        if share not in looked_up:
+            looked_up[share] = cache.load(config) if load else None
+        hit = looked_up[share]
+        if hit is not None:
+            deliver(index, hit, False)
+            continue
+        key = cache_key(config)
+        if key not in waiting:
+            waiting[key] = []
+            to_run.append((exp_id, overrides))
+        waiting[key].append(index)
+        pending[index] = config
+
+    if to_run:
+        if before_run is not None:
+            before_run(pending)
+
+        def collect(record: RunRecord) -> None:
+            if use_cache:
+                cache.store(record)
+            for n, index in enumerate(waiting.pop(record.cache_key)):
+                deliver(index, record, n == 0)
+
+        run_parallel(plan_groups(to_run), jobs=jobs, progress=collect)
+    return records
+
+
 def record_for(
     exp_id: str,
     overrides: Optional[Mapping[str, Any]] = None,
@@ -68,21 +137,10 @@ def record_for(
     force: bool = False,
 ) -> RunRecord:
     """One experiment's record: disk cache first, then an in-process run."""
-    from repro.core.experiments import get_experiment
-
-    spec = get_experiment(exp_id)
-    config = resolve_config(exp_id, overrides)
-    cache = cache if cache is not None else ResultCache()
-    if use_cache and not force:
-        hit = cache.load(config)
-        if hit is not None:
-            return hit
-    start = time.perf_counter()
-    result = run_raw(exp_id, overrides)
-    record = build_record(spec, config, result, time.perf_counter() - start)
-    if use_cache:
-        cache.store(record)
-    return record
+    return run_items(
+        [(exp_id, overrides)], jobs=1, cache=cache, use_cache=use_cache,
+        force=force,
+    )[0]
 
 
 def execute(
@@ -102,33 +160,10 @@ def execute(
     worker delivers them. Returns records keyed by exp_id, in the
     requested order.
     """
-    jobs = default_jobs() if jobs is None else max(1, jobs)
-    cache = cache if cache is not None else ResultCache()
     overrides = overrides or {}
-
-    records: Dict[str, RunRecord] = {}
-    to_run = []
-    for exp_id in exp_ids:
-        config = resolve_config(exp_id, overrides.get(exp_id))
-        hit = cache.load(config) if use_cache and not force else None
-        if hit is not None:
-            records[exp_id] = hit
-            if progress is not None:
-                progress(hit)
-        else:
-            to_run.append((exp_id, overrides.get(exp_id)))
-
-    if to_run:
-
-        def collect(record: RunRecord) -> None:
-            # Write back as each record arrives: an interrupted --all
-            # keeps its finished experiments.
-            records[record.exp_id] = record
-            if use_cache:
-                cache.store(record)
-            if progress is not None:
-                progress(record)
-
-        run_parallel(plan_groups(to_run), jobs=jobs, progress=collect)
-
-    return OrderedDict((exp_id, records[exp_id]) for exp_id in exp_ids)
+    records = run_items(
+        [(exp_id, overrides.get(exp_id)) for exp_id in exp_ids],
+        jobs=jobs, cache=cache, use_cache=use_cache, force=force,
+        progress=None if progress is None else lambda _i, record, _s: progress(record),
+    )
+    return OrderedDict(zip(exp_ids, records))

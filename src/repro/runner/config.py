@@ -41,9 +41,9 @@ MACHINE_FIELDS = tuple(
 )
 
 
-def suggest(name: str, known: Iterable[str]) -> str:
-    """A did-you-mean suffix for an unknown-key error, or ''."""
-    matches = difflib.get_close_matches(name, list(known), n=1, cutoff=0.5)
+def suggest(name: Any, known: Iterable[str]) -> str:
+    """A did-you-mean suffix for an unknown-name error, or ''."""
+    matches = difflib.get_close_matches(str(name), list(known), n=1, cutoff=0.5)
     return f" (did you mean {matches[0]!r}?)" if matches else ""
 
 

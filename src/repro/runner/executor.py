@@ -54,15 +54,24 @@ def group_root(exp_id: str) -> str:
 def plan_groups(items: Sequence[WorkItem]) -> List[List[WorkItem]]:
     """Partition work into process-affine groups, registry order kept.
 
-    Experiments with a common dependency root share a group (and thus
-    a worker's in-process memo); everything else is its own group.
+    An experiment whose checks compare against a baseline run (its
+    spec's ``after`` chain) shares a group — and thus a worker's
+    in-process memo — with the first item of that baseline; every
+    other item, a repeated experiment's sweep point included, is a
+    group of its own.
     """
     from repro.core.experiments import EXPERIMENTS
 
     order = {exp_id: i for i, exp_id in enumerate(EXPERIMENTS)}
-    groups: Dict[str, List[WorkItem]] = {}
-    for item in items:
-        groups.setdefault(group_root(item[0]), []).append(item)
+    groups: Dict[Any, List[WorkItem]] = {}
+    baselines = set()
+    for index, item in enumerate(items):
+        root = group_root(item[0])
+        if item[0] == root:
+            if root in baselines:
+                root = index  # a repeat: its own group
+            baselines.add(item[0])
+        groups.setdefault(root, []).append(item)
     planned = [
         sorted(group, key=lambda item: order.get(item[0], len(order)))
         for group in groups.values()
@@ -71,32 +80,8 @@ def plan_groups(items: Sequence[WorkItem]) -> List[List[WorkItem]]:
     return planned
 
 
-def plan_batches(
-    items: Sequence[WorkItem], jobs: int, max_batch: int = 4
-) -> List[List[WorkItem]]:
-    """Chunk *independent* work items into worker-sized batches.
-
-    Sweep points have no ``after`` dependencies, so unlike
-    :func:`plan_groups` there is nothing to co-locate; the only goal is
-    to amortize worker spawn cost without giving one worker so much
-    work that an interrupted run loses a long batch (each batch's
-    records reach the parent — and the on-disk cache — only when the
-    whole batch finishes). Batches are contiguous, at most ``max_batch``
-    items, and sized so all ``jobs`` workers stay busy.
-    """
-    if not items:
-        return []
-    jobs = max(1, jobs)
-    size = max(1, min(max_batch, (len(items) + jobs - 1) // jobs))
-    return [list(items[i:i + size]) for i in range(0, len(items), size)]
-
-
 def run_group(items: Sequence[WorkItem]) -> List[RunRecord]:
-    """Run one group serially in this process; the worker entry point.
-
-    Must stay a top-level function: it is pickled by name when shipped
-    to a spawned worker.
-    """
+    """Run one group serially in this process, memoizing each raw result."""
     from repro.core.experiments import get_experiment
     from repro.runner.api import resolve_config, run_raw
     from repro.runner.record import build_record
@@ -112,6 +97,20 @@ def run_group(items: Sequence[WorkItem]) -> List[RunRecord]:
     return records
 
 
+def run_worker_group(items: Sequence[WorkItem]) -> List[RunRecord]:
+    """The worker entry point: :func:`run_group`, then drop the memo.
+
+    Nothing in a pool worker reads a finished group's raw results
+    again. Top-level, since it is pickled by name for the worker.
+    """
+    from repro.runner.api import clear_memory_cache
+
+    try:
+        return run_group(items)
+    finally:
+        clear_memory_cache()
+
+
 def run_parallel(
     groups: Sequence[Sequence[WorkItem]],
     jobs: int,
@@ -124,7 +123,7 @@ def run_parallel(
     it would re-import a clean registry that lacks any experiment
     registered at run time in this process. Results are reported to
     ``progress`` as each group completes; the returned list is
-    unordered (callers re-index by exp_id).
+    unordered.
     """
     if jobs > 1 and len(groups) > 1:
         return run_in_workers(groups, jobs, progress)
@@ -148,7 +147,7 @@ def run_in_workers(
     context = multiprocessing.get_context("spawn")
     workers = min(jobs, len(groups))
     with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-        pending = {pool.submit(run_group, list(group)) for group in groups}
+        pending = {pool.submit(run_worker_group, list(group)) for group in groups}
         while pending:
             done, pending = wait(pending, return_when=FIRST_COMPLETED)
             for future in done:

@@ -107,8 +107,7 @@ class Engine:
         #: (inline process steps included); benchmarks read this.
         self.events_executed = 0
         #: Observability hook ``hook(now)`` called after every dispatched
-        #: action. None (the default) keeps run() on the fast loop; the
-        #: tracer sets it, accepting the general loop's bookkeeping cost.
+        #: action (the tracer sets it); None by default.
         self.dispatch_hook: Optional[Callable[[int], None]] = None
 
     @property
@@ -186,93 +185,21 @@ class Engine:
         executed = 0
         hook = self.dispatch_hook
         try:
-            if until is None and max_events is None and hook is None:
-                # Fast loop: the production configuration. Bookkeeping
-                # lives in locals; only time advances touch attributes.
-                while True:
-                    if self._stop_requested:
-                        break
-                    if due:
-                        # Heap entries sharing the current timestamp were
-                        # scheduled before anything in the due lane.
-                        if heap and heap[0][0] <= now:
-                            entry = heappop(heap)[2]
-                            if entry.__class__ is handle_cls:
-                                entry._where = _GONE
-                                if entry.cancelled:
-                                    self._heap_cancelled -= 1
-                                    continue
-                                entry = entry.action
-                        else:
-                            entry = due.popleft()
-                            if entry.__class__ is handle_cls:
-                                entry._where = _GONE
-                                if entry.cancelled:
-                                    self._due_cancelled -= 1
-                                    continue
-                                entry = entry.action
-                    elif heap:
-                        item = heappop(heap)
-                        entry = item[2]
-                        if entry.__class__ is handle_cls:
-                            entry._where = _GONE
-                            if entry.cancelled:
-                                self._heap_cancelled -= 1
-                                continue
-                            entry = entry.action
-                        now = item[0]
-                        self._now = now
-                    else:
-                        break
-                    entry()
-                    executed += 1
-                    # consume_inline_delay() may advance time while the
-                    # entry runs; resync the local copy.
-                    now = self._now
-            else:
-                while True:
-                    if self._stop_requested:
-                        break
-                    if (
-                        max_events is not None
-                        and executed + self._inline >= max_events
-                    ):
+            # One loop for every configuration: the hook and the budgets
+            # are checked against locals, and time lives in ``now``,
+            # written back to the attribute only when it advances.
+            while True:
+                if self._stop_requested:
+                    break
+                if max_events is not None:
+                    if executed + self._inline >= max_events:
                         break
                     # consume_inline_step() reads the completed count.
                     self._executed = executed
-                    if due:
-                        if heap and heap[0][0] <= self._now:
-                            entry = heappop(heap)[2]
-                            if entry.__class__ is handle_cls:
-                                entry._where = _GONE
-                                if entry.cancelled:
-                                    self._heap_cancelled -= 1
-                                    continue
-                                entry = entry.action
-                        else:
-                            if until is not None and until < self._now:
-                                self._now = until
-                                break
-                            entry = due.popleft()
-                            if entry.__class__ is handle_cls:
-                                entry._where = _GONE
-                                if entry.cancelled:
-                                    self._due_cancelled -= 1
-                                    continue
-                                entry = entry.action
-                    elif heap:
-                        time = heap[0][0]
-                        if until is not None and time > until:
-                            # Peek, don't pop: the boundary event stays
-                            # put and costs nothing when run() resumes.
-                            top = heap[0][2]
-                            if top.__class__ is handle_cls and top.cancelled:
-                                heappop(heap)
-                                top._where = _GONE
-                                self._heap_cancelled -= 1
-                                continue
-                            self._now = until
-                            break
+                if due:
+                    # Heap entries sharing the current timestamp were
+                    # scheduled before anything in the due lane.
+                    if heap and heap[0][0] <= now:
                         entry = heappop(heap)[2]
                         if entry.__class__ is handle_cls:
                             entry._where = _GONE
@@ -280,13 +207,47 @@ class Engine:
                                 self._heap_cancelled -= 1
                                 continue
                             entry = entry.action
-                        self._now = time
                     else:
+                        if until is not None and until < now:
+                            self._now = until
+                            break
+                        entry = due.popleft()
+                        if entry.__class__ is handle_cls:
+                            entry._where = _GONE
+                            if entry.cancelled:
+                                self._due_cancelled -= 1
+                                continue
+                            entry = entry.action
+                elif heap:
+                    if until is not None and heap[0][0] > until:
+                        # Peek, don't pop: the boundary event stays put
+                        # and costs nothing when run() resumes.
+                        top = heap[0][2]
+                        if top.__class__ is handle_cls and top.cancelled:
+                            heappop(heap)
+                            top._where = _GONE
+                            self._heap_cancelled -= 1
+                            continue
+                        self._now = until
                         break
-                    entry()
-                    executed += 1
-                    if hook is not None:
-                        hook(self._now)
+                    item = heappop(heap)
+                    entry = item[2]
+                    if entry.__class__ is handle_cls:
+                        entry._where = _GONE
+                        if entry.cancelled:
+                            self._heap_cancelled -= 1
+                            continue
+                        entry = entry.action
+                    now = self._now = item[0]
+                else:
+                    break
+                entry()
+                executed += 1
+                # consume_inline_delay() may advance time while the
+                # entry runs; resync the local copy.
+                now = self._now
+                if hook is not None:
+                    hook(now)
         finally:
             self._running = False
             self._max_events = None

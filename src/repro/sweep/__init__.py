@@ -4,9 +4,10 @@ The paper's strongest conclusions are *sensitivity* statements — how
 the MP/SM balance moves with network latency, cache size, and
 processor count. :mod:`repro.sweep` turns each such statement into a
 declarative :class:`SweepSpec` (experiment + axes + derived metrics +
-machine-checked curve shape), an engine that shards the grid over the
-parallel executor and serves warm points from the result cache, and
-serializable :class:`SweepResult` artifacts (JSON, CSV, ASCII plots).
+machine-checked curve shape), an engine that serves warm points from
+the result cache and fans the cold ones out over the parallel
+executor, one point per group, and serializable :class:`SweepResult`
+artifacts (JSON, CSV, ASCII plots).
 
 >>> from repro.sweep import get_sweep, run_sweep
 >>> result = run_sweep(get_sweep("em3d-latency"))

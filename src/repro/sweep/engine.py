@@ -1,22 +1,22 @@
-"""The sweep engine: expand, shard, cache, resume, analyze.
+"""The sweep engine: expand, run, resume, analyze.
 
 :func:`run_sweep` drives one :class:`~repro.sweep.spec.SweepSpec`
 through the runner harness:
 
 1. **Expand** the grid against the experiment's default config (axis
    typos fail here, before any simulation).
-2. **Serve warm points** from the on-disk
-   :class:`~repro.runner.cache.ResultCache` — re-running an enlarged
-   sweep only simulates the new points, and an immediate rerun
-   simulates nothing.
-3. **Shard cold points** into batches over the executor's spawned
-   workers (``--jobs``); every finished record is written back to the
-   cache *as it arrives*, so an interrupted sweep keeps its finished
-   points.
-4. **Manifest** the grid under ``<cache>/sweeps/`` as points complete;
+2. **Run** the points through the one run driver,
+   :func:`repro.runner.api.run_items`: warm points come from the
+   on-disk :class:`~repro.runner.cache.ResultCache` — re-running an
+   enlarged sweep only simulates the new points, and an immediate
+   rerun simulates nothing — and each cold point is a group of its own
+   over the executor's spawned workers (``--jobs``); every finished
+   record is written back to the cache *as it arrives*, so an
+   interrupted sweep keeps its finished points.
+3. **Manifest** the grid under ``<cache>/sweeps/`` as points complete;
    ``resume=True`` picks the most recent manifest for the spec back up
    (including its axis replacements) where it stopped.
-5. **Analyze**: extract the spec's metrics from each record summary,
+4. **Analyze**: extract the spec's metrics from each record summary,
    run the derive post-pass (e.g. speedup vs the 1-proc point), probe
    crossovers, and evaluate the sweep-level shape checks.
 """
@@ -26,10 +26,12 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set
 
+from repro.runner.api import clear_memory_cache, resolve_config, run_items
 from repro.runner.cache import ResultCache, cache_key
-from repro.runner.executor import default_jobs, plan_batches, run_parallel
+from repro.runner.config import ExperimentConfig
+from repro.runner.executor import default_jobs
 from repro.runner.record import RunRecord
 from repro.stats.metrics import derive_metrics
 from repro.sweep.analysis import crossover_report
@@ -58,7 +60,7 @@ def result_path(cache: ResultCache, spec: SweepSpec) -> Path:
 
 def _write_manifest(
     path: Path, spec: SweepSpec, points: Sequence[SweepPoint],
-    done: Mapping[str, Any],
+    done: Set[str],
 ) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -113,8 +115,6 @@ def run_sweep(
     progress: Optional[ProgressFn] = None,
 ) -> SweepResult:
     """Run one sweep end to end; see the module docstring for phases."""
-    from repro.core.experiments import get_experiment
-
     jobs = default_jobs() if jobs is None else max(1, jobs)
     cache = cache if cache is not None else ResultCache()
 
@@ -128,76 +128,46 @@ def run_sweep(
         axes = {axis: tuple(values) for axis, values in manifest["axes"]}
     spec = spec.with_axes(axes)
 
-    base_config = get_experiment(spec.exp_id).config
-    points = spec.grid(base_config)
-    configs = {}
-    for point in points:
-        config = base_config.with_overrides(point.overrides)
-        point.cache_key = cache_key(config)
-        configs[point.cache_key] = config
-
-    started = time.perf_counter()
-    records: Dict[str, RunRecord] = {}
-    done_count = 0
-    total = len(points)
-
-    def note(point: SweepPoint, record: RunRecord, simulated: bool) -> None:
-        nonlocal done_count
-        done_count += 1
-        if progress is not None:
-            progress(done_count, total, point, record, simulated)
-
-    # Warm points straight from the on-disk cache.
-    to_run: List[Tuple[str, Dict[str, Any]]] = []
-    queued = set()
-    for point in points:
-        if point.cache_key in records or point.cache_key in queued:
-            note(point, records.get(point.cache_key), False)  # duplicate coords
-            continue
-        hit = (
-            cache.load(configs[point.cache_key])
-            if use_cache and not force
-            else None
-        )
-        if hit is not None:
-            records[point.cache_key] = hit
-            note(point, hit, False)
-        else:
-            queued.add(point.cache_key)
-            to_run.append((spec.exp_id, point.overrides))
-
+    points = spec.grid(resolve_config(spec.exp_id))
     manifest_file = _manifest_path(cache, spec)
-    _write_manifest(manifest_file, spec, points, records)
+    started = time.perf_counter()
+    done: Set[str] = set()  # cache keys with a record
+    finished = simulated = 0
 
-    if to_run:
-        by_key = {point.cache_key: point for point in points}
+    def before_run(pending: Mapping[int, ExperimentConfig]) -> None:
+        # The manifest lists every point's key before the first cold
+        # point simulates, so an interrupted sweep can be resumed.
+        for index, config in pending.items():
+            points[index].cache_key = cache_key(config)
+        _write_manifest(manifest_file, spec, points, done)
 
-        def collect(record: RunRecord) -> None:
-            # Write back as each record arrives: an interrupted sweep
-            # keeps its finished points, and a rerun picks up here.
-            records[record.cache_key] = record
-            if use_cache:
-                cache.store(record)
-            _write_manifest(manifest_file, spec, points, records)
-            point = by_key.get(record.cache_key)
-            if point is not None:
-                note(point, record, True)
+    def note(index: int, record: RunRecord, was_simulated: bool) -> None:
+        nonlocal finished, simulated
+        point = points[index]
+        point.cache_key = record.cache_key
+        done.add(record.cache_key)
+        finished += 1
+        if was_simulated:
+            simulated += 1
+            _write_manifest(manifest_file, spec, points, done)
+        if progress is not None:
+            progress(finished, len(points), point, record, was_simulated)
 
-        run_parallel(
-            plan_batches(to_run, jobs=jobs), jobs=jobs, progress=collect
-        )
-        # In-process batches memoize raw results (live machine
-        # objects); a sweep has no baseline comparisons to serve, so
-        # drop them rather than hold every point's machines.
-        from repro.runner.api import clear_memory_cache
-
+    records = run_items(
+        [(spec.exp_id, point.overrides) for point in points],
+        jobs=jobs, cache=cache, use_cache=use_cache, force=force,
+        progress=note, before_run=before_run,
+    )
+    if simulated:
+        # In-process groups memoize raw results (live machine objects);
+        # a sweep has no baseline comparisons to serve, so drop them
+        # rather than hold every point's machines.
         clear_memory_cache()
-
-    simulated = len(to_run)
+    else:
+        _write_manifest(manifest_file, spec, points, done)
 
     # -- metric extraction and analysis ------------------------------------
-    for point in points:
-        record = records[point.cache_key]
+    for point, record in zip(points, records):
         point.metrics = derive_metrics(
             record.summary, spec.metrics, spec.extra_metrics
         )
@@ -226,9 +196,9 @@ def run_sweep(
             [name, bool(ok), detail] for name, ok, detail in spec.checks(result)
         ]
     result.meta = {
-        "points": total,
+        "points": len(points),
         "simulated": simulated,
-        "cached": total - simulated,
+        "cached": len(points) - simulated,
         "jobs": jobs,
         "elapsed_seconds": round(time.perf_counter() - started, 3),
         "manifest": str(manifest_file),
@@ -245,39 +215,29 @@ def _probe_crossovers(
 ) -> List[Dict[str, Any]]:
     """Evaluate the spec's crossover probes (one-dimensional sweeps)."""
     reports: List[Dict[str, Any]] = []
+    axis = spec.axes[0][0] if len(spec.axes) == 1 else None
     for probe in spec.crossovers:
-        if len(spec.axes) != 1:
+        xs, ys = result.series(probe.metric) if axis else ([], [])
+        if axis and all(isinstance(x, (int, float)) for x in xs):
             reports.append(
-                {
-                    "name": probe.name,
-                    "metric": probe.metric,
-                    "level": probe.level,
-                    "axis": None,
-                    "crossed": False,
-                    "at": None,
-                    "detail": "crossover probes need a one-axis sweep",
-                }
-            )
-            continue
-        axis = spec.axes[0][0]
-        xs, ys = result.series(probe.metric)
-        if not all(isinstance(x, (int, float)) for x in xs):
-            reports.append(
-                {
-                    "name": probe.name,
-                    "metric": probe.metric,
-                    "level": probe.level,
-                    "axis": axis,
-                    "crossed": False,
-                    "at": None,
-                    "detail": f"axis {axis!r} is not numeric",
-                }
+                crossover_report(
+                    probe.name, axis, xs, ys, probe.metric, probe.level,
+                    probe.description,
+                )
             )
             continue
         reports.append(
-            crossover_report(
-                probe.name, axis, xs, ys, probe.metric, probe.level,
-                probe.description,
-            )
+            {
+                "name": probe.name,
+                "metric": probe.metric,
+                "level": probe.level,
+                "axis": axis,
+                "crossed": False,
+                "at": None,
+                "detail": (
+                    f"axis {axis!r} is not numeric" if axis
+                    else "crossover probes need a one-axis sweep"
+                ),
+            }
         )
     return reports

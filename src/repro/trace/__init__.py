@@ -29,10 +29,9 @@ whose hooks are no-ops. Machines call ``trace.active().attach_mp(self)``
 (one call per *machine construction*, never per event), and all
 per-event instrumentation is installed by rebinding bound methods on
 the specific ``ProcStats``/machine *instances* being traced. With
-tracing off, no hot-path code changes: ``Engine.run`` keeps its
-allocation-free fast loop (the dispatch hook is only consulted once per
-``run()`` call), and ``ProcStats.charge`` is the same function the seed
-shipped. Golden cycle and event counts are bit-identical either way.
+tracing off, no hot-path code changes: ``Engine.run`` tests a local
+``None`` hook per action and allocates nothing, and
+``ProcStats.charge`` is the same function the seed shipped. Golden cycle and event counts are bit-identical either way.
 """
 
 from repro.trace.tracer import NULL, NullTracer, Tracer, active, install, tracing, uninstall

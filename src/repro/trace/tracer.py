@@ -345,8 +345,8 @@ class Tracer:
     def _hook_engine(self, mi: int, engine: Any) -> None:
         """Sample the engine's pending-event depth every N dispatches.
 
-        Setting ``dispatch_hook`` routes ``run()`` through the general
-        loop — slower, but cycle-for-cycle identical to the fast loop.
+        ``run()`` calls ``dispatch_hook`` after each action; the
+        simulation stays cycle-for-cycle identical to an untraced run.
         """
         tracer = self
         interval = self.counter_interval

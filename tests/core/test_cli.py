@@ -53,6 +53,10 @@ def test_run_json_export(tmp_path, capsys):
     assert records[0]["checks"]
     assert all(ok for _n, ok, _d in records[0]["checks"])
     assert records[0]["cache_key"]
+    # An export into a directory that does not exist yet creates it.
+    nested = tmp_path / "new" / "dir" / "records.json"
+    assert main(["run", "validation", "--jobs", "1", "--json", str(nested)]) == 0
+    assert json.loads(nested.read_text()) == records
 
 
 def test_run_failing_checks_exit_code(monkeypatch, capsys):

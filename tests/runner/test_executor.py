@@ -50,6 +50,15 @@ def test_plan_groups_colocates_baselines():
     assert sorted(by_member) == sorted(experiments.EXPERIMENTS)
     assert sum(len(g) for g in groups) == len(experiments.EXPERIMENTS)
 
+    # Repeated items of one experiment (sweep points) each form their
+    # own group; an `after` item joins the first baseline item.
+    points = [("em3d", {"machine": {"network_latency": lat}}) for lat in (0, 50, 100)]
+    groups = plan_groups([("em3d_bigcache", None)] + points + [("gauss", None)] * 2)
+    assert sorted([item[0] for item in group] for group in groups) == [
+        ["em3d"], ["em3d"], ["em3d", "em3d_bigcache"], ["gauss"], ["gauss"],
+    ]
+    assert [points[0], ("em3d_bigcache", None)] in groups
+
 
 # ---------------------------------------------------------------------------
 # run_raw memoization.
@@ -115,6 +124,39 @@ def test_force_bypasses_cache(tmp_path, monkeypatch):
     api.clear_memory_cache()
     api.execute(["fake_counting"], jobs=1, cache=cache, force=True)
     assert len(counter) == 2
+
+
+def test_equal_configs_simulate_once_and_share_the_record(tmp_path, monkeypatch):
+    counter = []
+    monkeypatch.setitem(
+        experiments.EXPERIMENTS, "fake_counting", _counting_spec(counter)
+    )
+    seen = []
+    records = api.run_items(
+        [("fake_counting", None), ("fake_counting", {})],
+        jobs=1,
+        cache=ResultCache(tmp_path),
+        progress=lambda index, record, simulated: seen.append((index, simulated)),
+    )
+    assert len(counter) == 1
+    assert records[0] is records[1]
+    assert records[0].cached is False
+    assert seen == [(0, True), (1, False)]
+
+    # A list-valued override makes the config unhashable; equal content
+    # addresses still simulate once.
+    listed = [("fake_counting", {"options": {"sizes": [1, 2]}})] * 2
+    records = api.run_items(listed, jobs=1, cache=ResultCache(tmp_path))
+    assert len(counter) == 2
+    assert records[0] is records[1]
+
+
+def test_worker_entry_leaves_no_raw_results():
+    from repro.runner.executor import run_worker_group
+
+    records = run_worker_group([("validation", {"seed": 5})])
+    assert [r.exp_id for r in records] == ["validation"]
+    assert api._MEMO == {}
 
 
 def test_record_for_serves_fidelity_from_cache(tmp_path, monkeypatch):

@@ -152,6 +152,29 @@ def test_user_dir_adds_new_spec(tmp_path, monkeypatch):
     assert "em3d-latency" in sweeps  # shipped specs still visible
 
 
+def test_sweep_experiment_may_name_an_experiment_spec(tmp_path):
+    doc = TINY_SWEEP.format(id="t").replace("experiment: em3d", "experiment: em3d-small")
+    doc = doc.replace(
+        "{procs: 2, app: {nodes_per_proc: 8, degree: 2, iterations: 2}}",
+        "{seed: 7, app: {iterations: 2}}",
+    )
+    spec = load_spec_file(_write(tmp_path, "t.yaml", doc))
+    assert spec.exp_id == "em3d"
+    # The sweep's own base_overrides win, channel by channel.
+    assert spec.base_overrides == {
+        "procs": 4,
+        "seed": 7,
+        "app": {"nodes_per_proc": 40, "degree": 4, "iterations": 2},
+    }
+
+
+def test_experiment_spec_may_not_shadow_a_registered_experiment(tmp_path):
+    doc = "kind: experiment\nid: em3d\nexperiment: em3d\n"
+    path = _write(tmp_path, "e.yaml", doc, kind="experiments")
+    with pytest.raises(SpecError, match="shadows the registered experiment"):
+        load_spec_file(path)
+
+
 def test_list_specs_covers_all_shipped_ids():
     ids = {(info.kind, info.id) for info in list_specs()}
     assert {

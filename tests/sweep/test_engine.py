@@ -101,7 +101,7 @@ def test_interrupted_sweep_resumes_bit_identical(fake, tmp_path):
     calls, fail_on = fake
     cache = ResultCache(tmp_path)
 
-    # Point 5 dies; the first (batched) points were already stored.
+    # Point 5 dies; the points before it were already stored.
     fail_on.add(5)
     with pytest.raises(RuntimeError, match="interrupted at procs=5"):
         run_sweep(_spec(), jobs=1, cache=cache)
@@ -112,7 +112,7 @@ def test_interrupted_sweep_resumes_bit_identical(fake, tmp_path):
     statuses = {p["coords"]["procs"]: p["status"] for p in manifest["points"]}
     assert statuses[5] == "pending"
     done = [procs for procs, status in statuses.items() if status == "done"]
-    assert done  # the completed batch survived the interruption
+    assert done == [1, 2, 3, 4]  # finished points survived the interruption
 
     # "Fix the outage" and resume: only the missing points simulate.
     fail_on.clear()
@@ -190,3 +190,33 @@ def test_progress_reports_every_point(fake, tmp_path):
     run_sweep(_spec(), jobs=1, cache=cache, progress=lambda *a: seen.append(a))
     assert len(seen) == 5
     assert not any(simulated for *_rest, simulated in seen)
+
+
+def test_manifest_precedes_simulation_and_a_warm_pass_writes_once(
+    fake, tmp_path, monkeypatch
+):
+    from repro.runner import api
+    from repro.sweep import engine
+
+    calls, _fail = fake
+    writes = []
+    write = engine._write_manifest
+
+    def spy(path, spec, points, done):
+        writes.append(len(calls))
+        write(path, spec, points, done)
+
+    def in_memo(_done, _total, point, _record, simulated):
+        # A simulated point's live result is still memoized here.
+        assert not simulated or point.cache_key in api._MEMO
+
+    monkeypatch.setattr(engine, "_write_manifest", spy)
+    cache = ResultCache(tmp_path)
+    run_sweep(_spec(), jobs=1, cache=cache, progress=in_memo)
+    assert writes == [0, 1, 2, 3, 4, 5]  # before the first point, then each
+    assert api._MEMO == {}  # dropped when the sweep ends
+
+    del writes[:]
+    run_sweep(_spec(), jobs=1, cache=cache)
+    assert writes == [5]
+    assert result_path(cache, _spec()).exists()

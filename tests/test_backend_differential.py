@@ -22,6 +22,10 @@ import pytest
 
 from repro import api
 from repro.runner.cache import cache_key
+from repro.specs import load_spec
+
+#: The CI-sized EM3D workload, defined once as an experiment spec.
+EM3D_SMALL = load_spec("em3d-small").overrides
 
 #: exp_id -> overrides shrinking the run to differential-test size.
 #: Every experiment keeps its default shape (strategies, proc counts,
@@ -32,14 +36,10 @@ SMALL = {
     "gauss": {"procs": 4, "app": {"n": 64}},
     "gauss_collectives": {"procs": 8, "app": {"n": 48}},
     "gauss_contention": {"app": {"n": 48}},
-    "em3d": {"procs": 4, "app": {"nodes_per_proc": 40, "degree": 4,
-                                 "iterations": 3}},
-    "em3d_bigcache": {"procs": 4, "app": {"nodes_per_proc": 40, "degree": 4,
-                                          "iterations": 3}},
-    "em3d_localalloc": {"procs": 4, "app": {"nodes_per_proc": 40, "degree": 4,
-                                            "iterations": 3}},
-    "em3d_protocols": {"procs": 4, "app": {"nodes_per_proc": 40, "degree": 4,
-                                           "iterations": 3}},
+    "em3d": EM3D_SMALL,
+    "em3d_bigcache": EM3D_SMALL,
+    "em3d_localalloc": EM3D_SMALL,
+    "em3d_protocols": EM3D_SMALL,
     "lcp": {"procs": 4, "app": {"n": 96}},
     "alcp": {"procs": 4, "app": {"n": 96}},
     "validation": {},

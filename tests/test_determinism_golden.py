@@ -14,6 +14,10 @@ the heavier pairs are marked ``slow`` and run in CI's non-blocking job.
 import pytest
 
 from repro.core.experiments import EXPERIMENTS
+from repro.specs import load_spec
+
+#: The CI-sized EM3D workload, defined once as an experiment spec.
+EM3D_SMALL = load_spec("em3d-small").overrides
 
 #: exp_id -> (config overrides, golden numbers from the seed kernel).
 GOLDEN = {
@@ -29,7 +33,7 @@ GOLDEN = {
         },
     ),
     "em3d": (
-        {"procs": 4, "app": {"nodes_per_proc": 40, "degree": 4, "iterations": 3}},
+        EM3D_SMALL,
         {
             "mp_total": 131618.0,
             "sm_total": 412938.0,
